@@ -3,9 +3,9 @@
    Subcommands:
      query     run a TSQL2-subset query over CSV relations
      explain   show the evaluation plan without running the query
-     serve     execute a script of interleaved DDL/DML/queries against
-               live incrementally-maintained views, or (--listen) serve
-               many TCP clients with admission control + graceful drain
+     serve     serve interleaved DDL/DML/queries against live
+               incrementally-maintained views to many TCP clients (or a
+               script on stdin) with admission control + graceful drain
      client    replay a statement script against a running server
      generate  write a synthetic relation (paper Section 6 methodology)
      metrics   report k-orderedness / k-ordered-percentage of a relation
@@ -309,26 +309,19 @@ let exec kind bindings algorithm domains on_error join_strategy memory_budget
                   (fun catalog ->
                     match kind with
                     | `Run ->
-                        if profile then
-                          Result.map
-                            (fun r -> `Profiled r)
-                            (Tsql.Eval.query_profiled ~adaptive ?algorithm
-                               ?domains ?on_error ?join_strategy ?memory_budget
-                               ?deadline_ms catalog q)
-                        else if
-                          on_error = None && memory_budget = None
-                          && deadline_ms = None
-                        then
-                          Result.map
-                            (fun r -> `Rel r)
-                            (Tsql.Eval.query ~adaptive ?algorithm ?domains
-                               ?join_strategy catalog q)
-                        else
-                          Result.map
-                            (fun r -> `Robust r)
-                            (Tsql.Eval.query_robust ~adaptive ?algorithm
-                               ?domains ?on_error ?join_strategy ?memory_budget
-                               ?deadline_ms catalog q)
+                        (* Created before parsing: the profile's
+                           parse+analyze phase and total run from here. *)
+                        let profile =
+                          if profile then Some (Obs.Profile.create ()) else None
+                        in
+                        Result.bind
+                          (Tsql.Eval.prepare ~adaptive ?algorithm ?domains
+                             ?on_error ?join_strategy ?profile catalog q)
+                          (fun plan ->
+                            Result.map
+                              (fun r -> `Run (r, profile))
+                              (Tsql.Eval.execute ?memory_budget ?deadline_ms
+                                 ?profile catalog plan))
                     | `Explain ->
                         Result.map
                           (fun s -> `Text s)
@@ -337,20 +330,11 @@ let exec kind bindings algorithm domains on_error join_strategy memory_budget
   in
   write_trace ();
   match outcome with
-  | Ok (`Rel result) ->
-      Tsql.Pretty.print_result result;
-      print_metrics [];
-      `Ok ()
-  | Ok (`Robust { Tsql.Eval.result; degradations }) ->
+  | Ok (`Run ({ Tsql.Eval.result; degradations }, profile)) ->
       Tsql.Pretty.print_result result;
       print_degradations degradations;
-      print_metrics degradations;
-      `Ok ()
-  | Ok (`Profiled { Tsql.Eval.result; profile; degradations }) ->
-      Tsql.Pretty.print_result result;
-      print_degradations degradations;
-      print_string (Obs.Profile.to_string profile);
-      print_metrics ~profile_report:profile degradations;
+      Option.iter (fun p -> print_string (Obs.Profile.to_string p)) profile;
+      print_metrics ?profile_report:profile degradations;
       `Ok ()
   | Ok (`Text text) ->
       print_endline text;
@@ -597,10 +581,10 @@ let write_slowlog slowlog slowlog_out =
         path
   | _ -> ()
 
-(* The network server: the same catalog/session machinery behind a TCP
-   listener (or stdin as one connection), with admission control, a
-   worker-domain pool, and graceful drain on SIGTERM/SIGINT. *)
-let serve_net bindings cache_capacity no_adaptive slowlog_ms slowlog_out
+(* The server: the catalog/session machinery behind a TCP listener (or
+   stdin as one connection), with admission control, a worker-domain
+   pool, and graceful drain on SIGTERM/SIGINT. *)
+let serve bindings cache_capacity no_adaptive slowlog_ms slowlog_out
     data_dir split_threshold listen domains queue_depth degrade_watermark
     drain_timeout_ms idle_timeout_ms max_connections memory_budget deadline_ms
     on_error metrics_out recorder_spans recorder_pinned recorder_out
@@ -709,7 +693,6 @@ let serve_net bindings cache_capacity no_adaptive slowlog_ms slowlog_out
                 (match metrics_out with
                 | None -> ()
                 | Some path ->
-                    Join.Telemetry.to_metrics report.Net.Server.metrics;
                     (* Atomic (temp + rename): a scraper racing the
                        drain never reads a torn exposition. *)
                     Obs.Metrics.write_file report.Net.Server.metrics path;
@@ -717,111 +700,41 @@ let serve_net bindings cache_capacity no_adaptive slowlog_ms slowlog_out
                 write_slowlog slowlog slowlog_out;
                 `Ok ()))
 
-let serve_script bindings cache_capacity echo metrics_every trace no_adaptive
-    slowlog_ms slowlog_out data_dir split_threshold script =
-  if trace <> None then Obs.Trace.arm ();
-  let write_trace () =
-    match trace with
-    | None -> ()
-    | Some path ->
-        Obs.Trace.disarm ();
-        let spans = Obs.Trace.spans () in
-        Out_channel.with_open_text path (fun oc ->
-            output_string oc (Obs.Trace.to_chrome_json spans));
-        Printf.eprintf "trace: wrote %d span(s) to %s\n%!" (List.length spans)
-          path
-  in
-  (* Partition-directory bindings become live partitioned bases (writes
-     and ANALYZE maintain them on disk); plain files go through the
-     catalog as immutable seeds. *)
-  let partition_bindings, file_bindings =
-    List.partition
-      (fun spec ->
-        Storage.Partition.is_partition_dir (snd (parse_binding spec)))
-      bindings
-  in
-  match build_catalog file_bindings with
-  | Error msg -> `Error (false, msg)
-  | Ok catalog -> (
-      match In_channel.with_open_text script In_channel.input_all with
-      | exception Sys_error msg -> `Error (false, msg)
-      | text -> (
-          let session =
-            Tsql.Session.create ~cache_capacity ~adaptive:(not no_adaptive)
-              ?data_dir ?split_threshold catalog
-          in
-          match
-            List.iter
-              (fun spec ->
-                let name, path = parse_binding spec in
-                Tsql.Session.add_partition session name
-                  (Storage.Partition.load path))
-              partition_bindings
-          with
-          | exception Invalid_argument msg -> `Error (false, msg)
-          | () -> (
-          let slowlog = make_slowlog slowlog_ms slowlog_out in
-          match
-            Tsql.Serve.run_script ~echo ?metrics_every ?slowlog session text
-          with
-          | Error msg -> `Error (false, script ^ ": " ^ msg)
-          | Ok report ->
-              print_string (Tsql.Serve.report_to_string report);
-              write_slowlog slowlog slowlog_out;
-              write_trace ();
-              `Ok ())))
-
-let serve bindings cache_capacity echo metrics_every trace no_adaptive
-    slowlog_ms slowlog_out data_dir split_threshold script listen domains
-    queue_depth degrade_watermark drain_timeout_ms idle_timeout_ms
-    max_connections memory_budget deadline_ms on_error metrics_out
-    recorder_spans recorder_pinned recorder_out scrape_every slo_file =
-  match (listen, script) with
-  | Some _, Some _ ->
-      `Error (false, "--script and --listen are mutually exclusive")
-  | None, None -> `Error (false, "one of --script or --listen is required")
-  | Some listen, None ->
-      serve_net bindings cache_capacity no_adaptive slowlog_ms slowlog_out
-        data_dir split_threshold listen domains queue_depth degrade_watermark
-        drain_timeout_ms idle_timeout_ms max_connections memory_budget
-        deadline_ms on_error metrics_out recorder_spans recorder_pinned
-        recorder_out scrape_every slo_file
-  | None, Some script ->
-      serve_script bindings cache_capacity echo metrics_every trace no_adaptive
-        slowlog_ms slowlog_out data_dir split_threshold script
-
 let serve_cmd =
   let doc =
-    "execute a statement script, or serve many TCP clients with admission \
-     control and graceful drain"
+    "serve TCP clients, or a script on stdin, with admission control and \
+     graceful drain"
   in
   let man =
     [
       `S Manpage.s_description;
       `P
-        "Runs a mutable session over the bound relations: the script may \
-         interleave $(b,CREATE VIEW name AS query), $(b,REFRESH VIEW), \
-         $(b,DROP VIEW), $(b,INSERT INTO r VALUES (...) DURING [a,b]), \
-         $(b,DELETE FROM r WHERE ...) and $(b,SELECT) statements, \
-         separated by semicolons ($(b,--) starts a line comment).  Views \
-         with a plain by-instant, ungrouped definition are maintained \
-         incrementally on every write; others are recomputed lazily.  The \
-         report gives per-statement-kind latency percentiles and the \
-         session's live-maintenance counters.";
+        "Runs a mutable session per connection over the bound relations: \
+         clients may interleave $(b,CREATE VIEW name AS query), \
+         $(b,REFRESH VIEW), $(b,DROP VIEW), $(b,INSERT INTO r VALUES \
+         (...) DURING [a,b]), $(b,DELETE FROM r WHERE ...) and \
+         $(b,SELECT) statements.  Views with a plain by-instant, \
+         ungrouped definition are maintained incrementally on every \
+         write; others are recomputed lazily.";
       `P
-        "With $(b,--listen) the same session machinery serves many \
-         concurrent clients over a line protocol: one statement per line, \
-         each answered by $(b,OK n [degraded]) plus $(i,n) payload lines, \
-         $(b,ERR msg), or $(b,BUSY reason) when the bounded admission \
-         queue sheds the request.  $(b,PING)/$(b,QUIT) are answered \
-         inline ($(b,PONG)/$(b,BYE)); PING bypasses admission, so it \
-         stays a liveness probe even at saturation.  Requests queued past \
-         the degrade watermark run under an ON ERROR fallback policy and \
-         a tighter deadline.  SIGTERM/SIGINT drain gracefully: stop \
-         accepting, finish or shed queued work within \
-         $(b,--drain-timeout-ms), flush, exit 0.  $(b,--listen stdin) \
-         serves stdin/stdout as one connection behind the same \
-         dispatcher.";
+        "The line protocol takes one statement per line ($(b,--) starts \
+         a comment line), each answered by $(b,OK n [degraded]) plus \
+         $(i,n) payload lines, $(b,ERR msg), or $(b,BUSY reason) when the \
+         bounded admission queue sheds the request.  $(b,PING)/$(b,QUIT) \
+         are answered inline ($(b,PONG)/$(b,BYE)); PING bypasses \
+         admission, so it stays a liveness probe even at saturation.  \
+         Requests queued past the degrade watermark run under an ON \
+         ERROR fallback policy and a tighter deadline.  SIGTERM/SIGINT \
+         drain gracefully: stop accepting, finish or shed queued work \
+         within $(b,--drain-timeout-ms), flush, exit 0.  The report \
+         gives per-statement-kind latency percentiles.";
+      `P
+        "$(b,--listen stdin) serves stdin/stdout as one connection behind \
+         the same dispatcher: $(b,tempagg serve --listen stdin < \
+         ops.tsql) runs a script, printing every reply on stdout and the \
+         report on stderr.  A statement that fails is answered with \
+         $(b,ERR) and the script carries on; a $(b,METRICS) line prints \
+         the Prometheus exposition at that point.";
     ]
   in
   let cache =
@@ -830,38 +743,16 @@ let serve_cmd =
       & info [ "cache-capacity" ] ~docv:"N"
           ~doc:"Query-cache capacity in entries.")
   in
-  let echo =
-    Arg.(
-      value & flag
-      & info [ "echo" ]
-          ~doc:"Print each SELECT result and acknowledgement as it runs.")
-  in
-  let metrics_every =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "metrics-every" ] ~docv:"N"
-          ~doc:
-            "Dump a Prometheus metrics exposition every $(docv) statements.")
-  in
-  let script =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "script" ] ~docv:"PATH"
-          ~doc:
-            "Statement script to execute (script mode; exclusive with \
-             $(b,--listen)).")
-  in
   let listen =
     Arg.(
-      value
+      required
       & opt (some string) None
       & info [ "listen" ] ~docv:"PORT"
           ~doc:
             "Serve the line protocol on TCP $(docv) (0 picks an ephemeral \
              port, reported on stderr), or on stdin/stdout with \
-             $(b,--listen stdin).")
+             $(b,--listen stdin): $(b,tempagg serve --listen stdin < \
+             ops.tsql) runs a script, one statement per line.")
   in
   let domains =
     Arg.(
@@ -924,9 +815,9 @@ let serve_cmd =
       & info [ "slowlog-ms" ] ~docv:"MS"
           ~doc:
             "Capture statements taking at least $(docv) milliseconds into \
-             the slow-query log (0 captures everything).  Slow SELECTs \
-             against base relations are re-profiled so the entry carries \
-             the full EXPLAIN ANALYZE report.")
+             the slow-query log (0 captures everything).  Each entry \
+             carries its request's trace id; $(b,TRACE DUMP) $(i,id) \
+             returns the span tree the flight recorder pinned for it.")
   in
   let slowlog_out =
     Arg.(
@@ -1020,9 +911,9 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc ~man)
     Term.(
       ret
-        (const serve $ relations_arg $ cache $ echo $ metrics_every $ trace_arg
-       $ no_adaptive_arg $ slowlog_ms $ slowlog_out $ data_dir
-       $ split_threshold $ script $ listen $ domains $ queue_depth
+        (const serve $ relations_arg $ cache $ no_adaptive_arg $ slowlog_ms
+       $ slowlog_out $ data_dir $ split_threshold $ listen $ domains
+       $ queue_depth
        $ degrade_watermark $ drain_timeout_ms $ idle_timeout_ms
        $ max_connections $ memory_budget_arg $ deadline_arg $ on_error_arg
        $ metrics_out $ recorder_spans $ recorder_pinned $ recorder_out

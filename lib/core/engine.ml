@@ -263,16 +263,24 @@ let eval_robust : type v s r.
  fun ?origin ?horizon ?(on_error = Fallback) ?memory_budget ?deadline_ms
      ?profile ?shard_offsets algorithm monoid data ->
   (* Materialize once so every retry sees the same tuples even if the
-     caller's Seq is ephemeral (e.g. a single-pass storage scan). *)
-  let mat_t0 = Unix.gettimeofday () in
-  let tuples = Array.of_seq data in
-  Option.iter
-    (fun p ->
-      Obs.Profile.set_tuples p (Array.length tuples);
-      Obs.Profile.add_phase p "materialize"
-        ((Unix.gettimeofday () -. mat_t0) *. 1000.))
-    profile;
-  let data = Array.to_seq tuples in
+     caller's Seq is ephemeral (e.g. a single-pass storage scan).  Only
+     a retry (a policy other than [Fail]) or a profile (which reports
+     the tuple count) needs the copy; otherwise the one attempt consumes
+     the caller's sequence directly, as a plain [eval] does. *)
+  let data =
+    if on_error = Fail && profile = None then data
+    else begin
+      let mat_t0 = Unix.gettimeofday () in
+      let tuples = Array.of_seq data in
+      Option.iter
+        (fun p ->
+          Obs.Profile.set_tuples p (Array.length tuples);
+          Obs.Profile.add_phase p "materialize"
+            ((Unix.gettimeofday () -. mat_t0) *. 1000.))
+        profile;
+      Array.to_seq tuples
+    end
+  in
   let guard = Guard.create ?memory_budget ?deadline_ms () in
   let degradations = ref [] in
   let note ~stage ~reason ~action =

@@ -124,9 +124,11 @@ val eval_robust :
 (** [eval_robust alg monoid data] evaluates under a {!Guard} built from
     [memory_budget] (bytes of algorithm state) and [deadline_ms]
     (wall-clock, spanning all retries — a retry does not restart the
-    clock).  [on_error] defaults to [Fallback].  The input is
-    materialized once up front so retries replay identical tuples even
-    from an ephemeral (single-pass) sequence.  Degradations are listed
+    clock).  [on_error] defaults to [Fallback].  Unless [on_error] is
+    [Fail] and no [profile] is given, the input is materialized once up
+    front so retries replay identical tuples even from an ephemeral
+    (single-pass) sequence; with [Fail] and no profile the single
+    attempt consumes [data] directly.  Degradations are listed
     oldest first.  Exceptions that the chain cannot interpret (genuine
     bugs) propagate unchanged.
 

@@ -37,6 +37,18 @@ let reset t =
   t.cache_invalidations <- 0;
   t.cache_evictions <- 0
 
+let add ~into t =
+  into.inserts <- into.inserts + t.inserts;
+  into.deletes <- into.deletes + t.deletes;
+  into.patched_segments <- into.patched_segments + t.patched_segments;
+  into.rebuilds <- into.rebuilds + t.rebuilds;
+  into.pending_tombstones <- into.pending_tombstones + t.pending_tombstones;
+  into.snapshots <- into.snapshots + t.snapshots;
+  into.cache_hits <- into.cache_hits + t.cache_hits;
+  into.cache_misses <- into.cache_misses + t.cache_misses;
+  into.cache_invalidations <- into.cache_invalidations + t.cache_invalidations;
+  into.cache_evictions <- into.cache_evictions + t.cache_evictions
+
 let to_string t =
   Printf.sprintf
     "inserts=%d deletes=%d patched-segments=%d rebuilds=%d \

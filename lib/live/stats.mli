@@ -1,7 +1,7 @@
 (** Shared counters for the live subsystem.
 
     One mutable record, threadable through any number of {!View}s and
-    {!Cache}s so a session (or a serve loop) reports a single rollup:
+    {!Cache}s so a session reports a single rollup:
     maintenance work on the write path (inserts, deletes, segments
     patched, lazy rebuilds, tombstones pending a rebuild) and cache
     behaviour on the read path (hits, misses, precise invalidations,
@@ -29,6 +29,11 @@ type t = {
 
 val create : unit -> t
 val reset : t -> unit
+
+val add : into:t -> t -> unit
+(** Add every counter of the second record into [into] — how a server
+    sums its sessions' counters into one rollup. *)
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

@@ -64,6 +64,10 @@ type report = {
   elapsed_s : float;
   drained : bool;
   metrics : Obs.Metrics.t;
+  per_kind : (string * Obs.Histogram.t) list;
+      (* The tempagg_net_latency_us histogram of each statement kind
+         seen, by kind name. *)
+  live : Live.Stats.t;  (* live-maintenance counters of every session *)
   scrapes : int;  (* self-scrape ticks taken (0 with scraping off) *)
   slo_summary : string option;
       (* Final rendered burn-rate report, alerts and worst windows
@@ -96,6 +100,9 @@ type completion = {
   c_join : string option;
 }
 
+(* One partitioned relation's counters in one session. *)
+type part_counts = { shards : int; queries : int; scanned : int; pruned : int }
+
 type conn = {
   c_id : int;
   c_fd : Unix.file_descr;  (* read side *)
@@ -115,6 +122,10 @@ type conn = {
          on the event loop before a statement is submitted, the one
          point where no worker owns the session. *)
   c_session : Tsql.Session.t;
+  mutable c_live : Live.Stats.t;
+  mutable c_parts : (string * part_counts) list;
+      (* The session's live-maintenance and partition counters as last
+         read on the event loop while no worker owned the session. *)
 }
 
 type t = {
@@ -141,6 +152,10 @@ type t = {
          refreshed on the event loop. *)
   mutable slo_text : string;  (* cached SHOW SLO / SLO-verb body *)
   mutable slo_report : Obs.Slo.report option;  (* latest evaluation *)
+  retired_live : Live.Stats.t;
+  mutable retired_parts : (string * part_counts) list;
+      (* Counters of closed connections, kept so the server-wide totals
+         never go backwards. *)
 }
 
 let max_line_bytes = 65_536
@@ -199,6 +214,8 @@ let create ?(config = default_config) catalog =
     metrics_text = "";
     slo_text = "no SLO objectives configured (serve with --slo FILE)";
     slo_report = None;
+    retired_live = Live.Stats.create ();
+    retired_parts = [];
   }
 
 let port t = t.bound_port
@@ -250,6 +267,88 @@ let m_latency t kind =
     ~labels:[ ("kind", kind) ]
     "tempagg_net_latency_us"
 
+(* ---- session counters (event loop only) ---- *)
+
+(* Re-read a connection's session counters, unless a worker owns the
+   session right now; then the last reading stands. *)
+let read_session_counts conn =
+  if not conn.c_outstanding then begin
+    let live = Live.Stats.create () in
+    Live.Stats.add ~into:live (Tsql.Session.stats conn.c_session);
+    conn.c_live <- live;
+    conn.c_parts <-
+      List.map
+        (fun (name, p) ->
+          let queries, scanned, pruned = Storage.Partition.pruning_totals p in
+          ( name,
+            { shards = Storage.Partition.shard_count p; queries; scanned; pruned }
+          ))
+        (Tsql.Session.partitions conn.c_session)
+  end
+
+(* Per relation: counts add up across sessions; each session loads its
+   own copy of a partition, so the shard count is the largest copy's. *)
+let merge_parts into parts =
+  List.fold_left
+    (fun acc (name, c) ->
+      match List.assoc_opt name acc with
+      | None -> (name, c) :: acc
+      | Some a ->
+          ( name,
+            {
+              shards = max a.shards c.shards;
+              queries = a.queries + c.queries;
+              scanned = a.scanned + c.scanned;
+              pruned = a.pruned + c.pruned;
+            } )
+          :: List.remove_assoc name acc)
+    into parts
+
+(* Server-wide totals of the sessions' counters: open connections (re-read
+   now) and closed ones. *)
+let session_totals t =
+  let live = Live.Stats.create () in
+  Live.Stats.add ~into:live t.retired_live;
+  let parts =
+    Hashtbl.fold
+      (fun _ c parts ->
+        read_session_counts c;
+        Live.Stats.add ~into:live c.c_live;
+        merge_parts parts c.c_parts)
+      t.conns t.retired_parts
+  in
+  (live, parts)
+
+(* The tempagg_live_* totals and per-relation tempagg_partition_*
+   gauges, plus the process-wide join counters. *)
+let refresh_session_metrics t =
+  let live, parts = session_totals t in
+  Live.Stats.to_metrics t.registry live;
+  Join.Telemetry.to_metrics t.registry;
+  List.iter
+    (fun (relation, c) ->
+      let set metric help v =
+        Obs.Metrics.set
+          (Obs.Metrics.gauge t.registry ~help
+             ~labels:[ ("relation", relation) ]
+             metric)
+          v
+      in
+      let seti metric help v = set metric help (float_of_int v) in
+      seti "tempagg_partition_shards" "Storage shards per partitioned relation"
+        c.shards;
+      seti "tempagg_partition_queries"
+        "Planned queries against the partitioned relation" c.queries;
+      seti "tempagg_partition_shards_scanned"
+        "Shards scanned by planned queries" c.scanned;
+      seti "tempagg_partition_shards_pruned" "Shards pruned by planned queries"
+        c.pruned;
+      set "tempagg_partition_pruning_ratio"
+        "Fraction of candidate shards pruned across planned queries"
+        (if c.scanned + c.pruned = 0 then 0.
+         else float_of_int c.pruned /. float_of_int (c.scanned + c.pruned)))
+    parts
+
 let refresh_admission_gauges t =
   Obs.Metrics.set_int (m_queued t) (Admission.queued t.admission);
   Obs.Metrics.set_int (m_inflight t) (Admission.in_flight t.admission)
@@ -258,6 +357,7 @@ let refresh_admission_gauges t =
    identity, uptime, and flight-recorder pressure. *)
 let refresh_scrape_metrics t =
   refresh_admission_gauges t;
+  refresh_session_metrics t;
   Obs.Metrics.set
     (gauge t "tempagg_uptime_seconds"
        "Seconds since the server started (monotonic clock)")
@@ -335,7 +435,7 @@ let execute t job =
         match Tsql.Parser.parse_statement job.j_line with
         | Error msg -> ("parse-error", Protocol.Err msg, None)
         | Ok stmt -> (
-            let kind = Tsql.Serve.kind_of stmt in
+            let kind = Tsql.Ast.kind_of stmt in
             (* Degraded requests trade the planned fast path for a
                bounded one: at least a Fallback recovery policy (Skip
                stays Skip — it is already lossier) and a tighter
@@ -468,6 +568,8 @@ let add_conn t ~tcp ~fd ~wfd =
       c_seq = 0;
       c_scrape_version = -1;  (* force a refresh before the first statement *)
       c_session = new_session t id;
+      c_live = Live.Stats.create ();
+      c_parts = [];
     }
   in
   refresh_self_relations t conn;
@@ -478,6 +580,9 @@ let add_conn t ~tcp ~fd ~wfd =
 
 let close_conn t conn =
   if Hashtbl.mem t.conns conn.c_id then begin
+    read_session_counts conn;
+    Live.Stats.add ~into:t.retired_live conn.c_live;
+    t.retired_parts <- merge_parts t.retired_parts conn.c_parts;
     Hashtbl.remove t.conns conn.c_id;
     Obs.Metrics.set_int (m_active t) (Hashtbl.length t.conns);
     if conn.c_tcp then try Unix.close conn.c_fd with Unix.Unix_error _ -> ()
@@ -1017,17 +1122,46 @@ let run ?(signals = false) t =
     elapsed_s = float_of_int (now_us () - started_us) /. 1e6;
     drained = not !forced;
     metrics = t.registry;
+    per_kind =
+      List.filter_map
+        (fun (s : Obs.Metrics.sample) ->
+          match List.assoc_opt "kind" s.Obs.Metrics.s_labels with
+          | Some kind when s.Obs.Metrics.s_name = "tempagg_net_latency_us" ->
+              Some (kind, m_latency t kind)
+          | _ -> None)
+        (Obs.Metrics.samples t.registry);
+    live = fst (session_totals t);
     scrapes = (match t.scraper with Some s -> Selfmon.Scrape.ticks s | None -> 0);
     slo_summary =
       Option.map (fun r -> Obs.Slo.report_to_string r) t.slo_report;
   }
 
 let report_to_string r =
+  let kind_rows =
+    match r.per_kind with
+    | [] -> ""
+    | rows ->
+        Printf.sprintf "  %-16s %6s %10s %10s %10s %10s %10s\n" "kind" "ops"
+          "mean-us" "p50-us" "p90-us" "p99-us" "max-us"
+        ^ String.concat ""
+            (List.map
+               (fun (kind, h) ->
+                 Printf.sprintf
+                   "  %-16s %6d %10.1f %10.1f %10.1f %10.1f %10.1f\n" kind
+                   (Obs.Histogram.count h) (Obs.Histogram.mean h)
+                   (Obs.Histogram.percentile h 0.5)
+                   (Obs.Histogram.percentile h 0.9)
+                   (Obs.Histogram.percentile h 0.99)
+                   (Obs.Histogram.max_value h))
+               rows)
+  in
   Printf.sprintf
     "server: %d connection(s), %d request(s) in %.3f s — %d shed, %d \
-     error(s), %d degraded, %d idle-reaped, drain %s%s\n%s"
+     error(s), %d degraded, %d idle-reaped, drain %s%s\n%s  live: %s\n%s"
     r.accepted r.requests r.elapsed_s r.shed r.errors r.degraded r.timed_out
     (if r.drained then "clean" else "forced")
     (if r.scrapes > 0 then Printf.sprintf ", %d self-scrape(s)" r.scrapes
      else "")
+    kind_rows
+    (Live.Stats.to_string r.live)
     (match r.slo_summary with None -> "" | Some s -> s ^ "\n")

@@ -127,8 +127,17 @@ type report = {
       (** Work finished and flushed before the drain deadline ([false]
           when the deadline forced eviction). *)
   metrics : Obs.Metrics.t;
-      (** Registry with the server gauges/counters and per-kind latency
-          histograms, ready for {!Obs.Metrics.expose}. *)
+      (** Registry with the server gauges/counters, per-kind latency
+          histograms, and the sessions' [tempagg_live_*] and
+          per-relation [tempagg_partition_*] totals, ready for
+          {!Obs.Metrics.expose}. *)
+  per_kind : (string * Obs.Histogram.t) list;
+      (** The [tempagg_net_latency_us] histogram of each statement kind
+          seen ({!Tsql.Ast.kind_of}), by kind name: the report's
+          latency rows. *)
+  live : Live.Stats.t;
+      (** Live-maintenance and query-cache counters summed over every
+          connection's session, closed ones included. *)
   scrapes : int;  (** Self-scrape ticks taken (0 with scraping off). *)
   slo_summary : string option;
       (** Final rendered burn-rate report — per-objective verdicts,

@@ -6,9 +6,9 @@
     fixed few hundred integers — mergeable, constant-memory, and never
     re-sorted.  Count, sum, mean, min and max are tracked exactly.
 
-    This is the one percentile implementation in the tree: the serve
-    loop's latency report and the metrics registry's histogram exposition
-    are both built on it. *)
+    This is the one percentile implementation in the tree: the server's
+    latency report and the metrics registry's histogram exposition are
+    both built on it. *)
 
 type t
 

@@ -46,6 +46,7 @@ type t = {
   mutable segments : int option;
   mutable io : io option;
   mutable total_ms : float option;
+  started_us : int;  (* [create] time on the monotonized trace clock *)
 }
 
 let create () =
@@ -69,6 +70,7 @@ let create () =
     segments = None;
     io = None;
     total_ms = None;
+    started_us = Trace.now_us ();
   }
 
 let set_query t q = t.query <- Some q
@@ -88,6 +90,7 @@ let set_k_estimate t k = t.k_estimate <- Some k
 let set_tuples t n = t.tuples <- Some n
 let set_segments t n = t.segments <- Some n
 let set_total_ms t ms = t.total_ms <- Some ms
+let elapsed_ms t = float_of_int (Trace.now_us () - t.started_us) /. 1000.
 
 let set_io t ~pages_read ~pages_written ~retries ~corrupt_pages =
   t.io <- Some { pages_read; pages_written; io_retries = retries; corrupt_pages }

@@ -51,6 +51,11 @@ val set_tuples : t -> int -> unit
 val set_segments : t -> int -> unit
 val set_total_ms : t -> float -> unit
 
+val elapsed_ms : t -> float
+(** Milliseconds since {!create}, on {!Trace.now_us}'s clock — how a
+    query's total (parse through evaluation) is measured when the
+    profile is created before the statement is parsed. *)
+
 val set_io :
   t -> pages_read:int -> pages_written:int -> retries:int -> corrupt_pages:int -> unit
 

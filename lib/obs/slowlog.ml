@@ -1,15 +1,13 @@
 (* Slow-query capture: statements whose latency crosses the threshold
-   land in a bounded ring (newest evict oldest), with an optional
-   profile text and the labels of tracing spans recorded while the
-   statement ran.  The ring dumps as JSON an operator can read back —
-   each entry carries the statement text ready for EXPLAIN ANALYZE. *)
+   land in a bounded ring (newest evict oldest), with their request id.
+   The ring dumps as JSON an operator can read back — each entry carries
+   the statement text ready for EXPLAIN ANALYZE, and the id names the
+   span tree the flight recorder pinned for it. *)
 
 type entry = {
   statement : string;
   kind : string;
   elapsed_ms : float;
-  detail : string option;
-  span_labels : string list;
   join : string option;  (* chosen join strategy, with fallback marker *)
   trace : string option;  (* request id, for cross-referencing a dump *)
 }
@@ -40,11 +38,10 @@ let create ?(capacity = 32) ~threshold_ms () =
 
 let threshold_ms t = t.threshold_ms
 
-let observe t ~kind ~statement ~elapsed_ms ?detail ?(span_labels = []) ?join
-    ?trace () =
+let observe t ~kind ~statement ~elapsed_ms ?join ?trace () =
   if elapsed_ms < t.threshold_ms then false
   else begin
-    let e = { statement; kind; elapsed_ms; detail; span_labels; join; trace } in
+    let e = { statement; kind; elapsed_ms; join; trace } in
     if Array.length t.ring = 0 then t.ring <- Array.make t.capacity e;
     t.ring.(t.next) <- e;
     t.next <- (t.next + 1) mod t.capacity;
@@ -90,11 +87,9 @@ let entry_to_json e =
   in
   Printf.sprintf
     "{\"statement\": \"%s\", \"kind\": \"%s\", \"elapsed_ms\": %.3f, \
-     \"profile\": %s, \"join\": %s, \"trace\": %s, \"spans\": [%s]}"
-    (escape e.statement) (escape e.kind) e.elapsed_ms (opt e.detail)
-    (opt e.join) (opt e.trace)
-    (String.concat ", "
-       (List.map (fun l -> Printf.sprintf "\"%s\"" (escape l)) e.span_labels))
+     \"join\": %s, \"trace\": %s}"
+    (escape e.statement) (escape e.kind) e.elapsed_ms (opt e.join)
+    (opt e.trace)
 
 let to_json t =
   Printf.sprintf

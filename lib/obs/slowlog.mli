@@ -1,20 +1,17 @@
 (** Slow-query capture: a threshold-triggered bounded ring of statement
     records, dumped as JSON.
 
-    The serve loop feeds every statement's latency through {!observe};
+    The server feeds every statement's latency through {!observe};
     entries at or above the threshold are kept (newest evict oldest,
     but {!hits} and {!worst} cover everything ever observed).  Each
     entry carries the statement text — ready to feed back to
-    [EXPLAIN ANALYZE] — plus an optional profile report and the labels
-    of tracing spans recorded while the statement ran. *)
+    [EXPLAIN ANALYZE] — and its request id, which names the span tree
+    the flight recorder pinned for it ([TRACE DUMP <id>]). *)
 
 type entry = {
   statement : string;
   kind : string;  (** Statement kind, e.g. ["select"]. *)
   elapsed_ms : float;
-  detail : string option;  (** Profile report text, when captured. *)
-  span_labels : string list;
-      (** Labels of spans recorded during the statement (tracing armed). *)
   join : string option;
       (** Chosen join strategy, e.g. ["sweep-join"]; a fallback retry is
           marked, e.g. ["sweep-join -> nested-loop-join (fallback)"]. *)
@@ -36,8 +33,6 @@ val observe :
   kind:string ->
   statement:string ->
   elapsed_ms:float ->
-  ?detail:string ->
-  ?span_labels:string list ->
   ?join:string ->
   ?trace:string ->
   unit ->
@@ -56,4 +51,4 @@ val worst : t -> entry option
 
 val to_json : t -> string
 (** [{"threshold_ms": ..., "hits": ..., "entries": [...]}] — one object
-    per entry with statement/kind/elapsed_ms/profile/join/trace/spans. *)
+    per entry with statement/kind/elapsed_ms/join/trace. *)

@@ -12,7 +12,7 @@ type outcome = {
   k_observed : int option;
       (* A k-ordering bound proven by the run itself (e.g. a k-ordered
          tree that completed without order violations on a plain scan). *)
-  segments : int option;  (* constant intervals in the result *)
+  segments : int option;  (* un-coalesced constant intervals *)
   degradations : int;
 }
 
@@ -267,47 +267,3 @@ let store_to_string store =
         (List.map
            (fun name -> to_string name (Option.get (store_find store name)))
            names)
-
-let store_to_metrics registry store =
-  let gauge name help labels v =
-    Metrics.set (Metrics.gauge registry ~help ~labels name) v
-  in
-  Hashtbl.iter
-    (fun key t ->
-      let labels = [ ("relation", key) ] in
-      let s = summary t in
-      gauge "tempagg_stats_observations"
-        "Per-query outcome records folded into the relation's statistics"
-        labels
-        (float_of_int s.observations);
-      Option.iter
-        (fun c ->
-          gauge "tempagg_stats_cardinality"
-            "Last observed input cardinality of the relation" labels
-            (float_of_int c))
-        s.cardinality;
-      Option.iter
-        (fun k ->
-          gauge "tempagg_stats_k_upper"
-            "Smallest proven upper bound on the relation's k-orderedness"
-            labels (float_of_int k))
-        s.k_upper;
-      Option.iter
-        (fun m ->
-          gauge "tempagg_stats_constant_intervals"
-            "Decayed mean of observed result sizes (constant intervals)"
-            labels (float_of_int m))
-        s.constant_intervals;
-      Option.iter
-        (fun ms ->
-          gauge "tempagg_stats_mean_eval_ms"
-            "Exponentially-decayed mean evaluation latency in milliseconds"
-            labels ms)
-        s.mean_eval_ms;
-      Option.iter
-        (fun d ->
-          gauge "tempagg_stats_distinct_endpoints"
-            "Estimated distinct interval endpoints from the last ANALYZE"
-            labels (float_of_int d))
-        s.distinct_endpoints)
-    store

@@ -22,8 +22,11 @@ type outcome = {
           tree completing without order violations over a plain scan of
           the relation).  Ignored when [degradations > 0]. *)
   segments : int option;
-      (** Constant intervals in the result, when the query shape makes
-          that a property of the relation (ungrouped, unwindowed). *)
+      (** Constant intervals of the evaluated timeline before
+          coalescing, when the query shape makes that a property of the
+          relation (a plain scan: ungrouped, unwindowed).  Coalescing
+          depends on the aggregate, so the coalesced result size is not
+          recorded here. *)
   degradations : int;
 }
 
@@ -60,7 +63,8 @@ type summary = {
   time_ordered : bool option;  (** Known only after an analysis. *)
   k_upper : int option;
       (** Smallest proven k bound across analyses and clean runs. *)
-  constant_intervals : int option;  (** Decayed mean result size. *)
+  constant_intervals : int option;
+      (** Decayed mean of the recorded [segments]. *)
   distinct_endpoints : int option;
   mean_eval_ms : float option;
   peak_bytes : int option;
@@ -106,6 +110,3 @@ val store_invalidate : store -> string -> unit
 val store_to_string : store -> string
 (** The [SHOW STATS] printout. *)
 
-val store_to_metrics : Metrics.t -> store -> unit
-(** Refresh per-relation gauges ([tempagg_stats_*], labelled by
-    relation) from the store. *)

@@ -4,7 +4,7 @@
 
    - The armed buffer: unbounded per-domain lists of completed spans,
      toggled by arm/disarm.  This is the profiling mode the bench and
-     the serve loop use — capture everything for one run, export it,
+     the CLI's --trace use — capture everything for one run, export it,
      clear it.
    - The flight-recorder ring: a bounded per-domain ring of the most
      recent spans, on by default (see [set_ring_capacity]).  The ring

@@ -32,8 +32,8 @@ val now_us : unit -> int
     process-local epoch, monotonized across domains with a CAS max so
     successive readings never run backwards even if the wall clock
     steps.  Exposed for callers that need durations immune to clock
-    adjustments (the serve loop's latency reports, the network server's
-    timeouts). *)
+    adjustments (query and profile timings, the network server's
+    latencies and timeouts). *)
 
 val arm : unit -> unit
 (** Start recording.  Spans from any previous arming are discarded. *)

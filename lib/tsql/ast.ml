@@ -178,3 +178,20 @@ let statement_to_string = function
                      Printf.sprintf "%s %s %s" p.column (op_to_string p.op)
                        (literal_to_string p.value))
                    ps))
+
+let kind_of = function
+  | Select _ -> "select"
+  | Explain_analyze _ -> "explain-analyze"
+  | Create_view _ -> "create-view"
+  | Refresh_view _ -> "refresh-view"
+  | Drop_view _ -> "drop-view"
+  | Insert_into _ -> "insert"
+  | Delete_from _ -> "delete"
+  | Analyze _ -> "analyze"
+  | Show_stats -> "show-stats"
+  | Create_table _ -> "create-table"
+  | Show_partitions -> "show-partitions"
+  | Show_trace -> "show-trace"
+  | Show_recorder -> "show-recorder"
+  | Show_metrics -> "show-metrics"
+  | Show_slo -> "show-slo"

@@ -151,3 +151,8 @@ val to_string : query -> string
 val statement_to_string : statement -> string
 (** Re-render a statement; {!Select} renders via {!to_string}.  The
     canonical form — {!Session} uses it as the query-cache key. *)
+
+val kind_of : statement -> string
+(** The statement's display kind (["select"], ["insert"], ...) — the
+    [kind] label of the network server's request metrics and the rows
+    of its report. *)

@@ -12,55 +12,49 @@ let data_for tuples (spec : Semant.agg_spec) =
              let v = Tuple.value t i in
              if Value.is_null v then None else Some (Tuple.valid t, v))
 
-(* Mutable context for one robust query run: the budgets to enforce and
-   the degradation events accumulated across every per-aggregate,
-   per-group engine evaluation. *)
-type robust_ctx = {
+(* Mutable context for one plan execution: the budgets to enforce, the
+   degradation events accumulated across every per-aggregate, per-group
+   engine evaluation, and the un-coalesced constant intervals the
+   evaluation produced (what [record_outcome] feeds the planner). *)
+type ctx = {
   memory_budget : int option;
   deadline_ms : float option;
-  mutable events : Tempagg.Engine.degradation list;
   profile : Obs.Profile.t option;
+  mutable events : Tempagg.Engine.degradation list;
+  mutable intervals : int;
 }
 
 (* Carries a structured engine error out of the evaluation loops;
-   intercepted in [query_robust], never escapes this module. *)
-exception Robust_error of Tempagg.Engine.error
+   intercepted in [evaluate], never escapes this module. *)
+exception Eval_error of Tempagg.Engine.error
 
-let run_engine ?robust ?shard_offsets (plan : Semant.plan) monoid data =
+(* The one call into the engine.  It always goes through the robust
+   entry point under the plan's own recovery policy; with no budget, no
+   profile and [Fail], that costs what a bare [Engine.eval] costs. *)
+let run_engine ctx ?shard_offsets (plan : Semant.plan) monoid data =
   let origin, horizon =
     match plan.Semant.window with
     | Some w -> (Interval.start w, Interval.stop w)
     | None -> (Chronon.origin, Chronon.forever)
   in
-  match robust with
-  | None -> (
-      match plan.Semant.granule with
-      | Some granule ->
-          Tempagg.Span.eval ~origin ~horizon ~algorithm:plan.Semant.algorithm
-            ~granule monoid data
-      | None ->
-          Tempagg.Engine.eval ~origin ~horizon ?shard_offsets
-            plan.Semant.algorithm monoid data)
-  | Some ctx -> (
-      let result =
-        match plan.Semant.granule with
-        | Some granule ->
-            Tempagg.Span.eval_robust ~origin ~horizon
-              ~algorithm:plan.Semant.algorithm ~on_error:plan.Semant.on_error
-              ?memory_budget:ctx.memory_budget ?deadline_ms:ctx.deadline_ms
-              ?profile:ctx.profile ~granule monoid data
-        | None ->
-            Tempagg.Engine.eval_robust ~origin ~horizon
-              ~on_error:plan.Semant.on_error
-              ?memory_budget:ctx.memory_budget ?deadline_ms:ctx.deadline_ms
-              ?profile:ctx.profile ?shard_offsets plan.Semant.algorithm monoid
-              data
-      in
-      match result with
-      | Ok (timeline, degradations) ->
-          ctx.events <- ctx.events @ degradations;
-          timeline
-      | Error e -> raise (Robust_error e))
+  let result =
+    match plan.Semant.granule with
+    | Some granule ->
+        Tempagg.Span.eval_robust ~origin ~horizon
+          ~algorithm:plan.Semant.algorithm ~on_error:plan.Semant.on_error
+          ?memory_budget:ctx.memory_budget ?deadline_ms:ctx.deadline_ms
+          ?profile:ctx.profile ~granule monoid data
+    | None ->
+        Tempagg.Engine.eval_robust ~origin ~horizon
+          ~on_error:plan.Semant.on_error ?memory_budget:ctx.memory_budget
+          ?deadline_ms:ctx.deadline_ms ?profile:ctx.profile ?shard_offsets
+          plan.Semant.algorithm monoid data
+  in
+  match result with
+  | Ok (timeline, degradations) ->
+      ctx.events <- ctx.events @ degradations;
+      timeline
+  | Error e -> raise (Eval_error e)
 
 let int_value n = Value.Int n
 
@@ -117,7 +111,7 @@ let group_offsets ~target sizes =
     sizes;
   Array.of_list ((0 :: List.rev !cuts) @ [ total ])
 
-let agg_timeline ?robust ?shard_blocks plan tuples (spec : Semant.agg_spec) =
+let agg_timeline ctx ?shard_blocks plan tuples (spec : Semant.agg_spec) =
   (* A partitioned plan under a Parallel algorithm evaluates each
      storage shard's slice in its own evaluation shard: the per-shard
      streams (after this aggregate's NULL filtering) give the explicit
@@ -170,7 +164,7 @@ let agg_timeline ?robust ?shard_blocks plan tuples (spec : Semant.agg_spec) =
     else plan
   in
   match monoid_of_spec spec with
-  | Value_monoid monoid -> run_engine ?robust ?shard_offsets plan monoid data
+  | Value_monoid monoid -> run_engine ctx ?shard_offsets plan monoid data
 
 (* Pair up the per-aggregate timelines into one timeline of value lists.
    All of them cover the full [origin,horizon], so refine never fails. *)
@@ -206,32 +200,43 @@ let rec take n acc rest =
     | [] -> (List.rev acc, [])
     | x :: tl -> take (n - 1) (x :: acc) tl
 
-(* Materialize one join side: walk its shard layout block by block,
-   skipping shards whose span misses the window wholesale, and clip
-   every kept tuple to the window.  No WHERE filtering here — a join
-   query's WHERE is compiled against the combined schema and runs on
-   the joined stream. *)
-let side_tuples ~window ~layout relation =
-  let all = Trel.tuples relation in
+(* The relation's tuples that pass [keep], clipped to the window, block
+   by storage shard.  A partitioned relation's physical tuple list is
+   its shards concatenated in order, so it is walked block by block: a
+   shard whose time span misses the DURING window is skipped wholesale —
+   its tuples are never filtered, clipped or even looked at, which is
+   where partition pruning actually saves work.  An unpartitioned
+   relation is one block. *)
+let windowed_blocks ~window ~keep ~layout relation =
+  let select block =
+    match window with
+    | None -> List.filter keep block
+    | Some w ->
+        List.filter_map (fun t -> if keep t then clip_tuple w t else None) block
+  in
   match (layout : (Interval.t * int) list) with
-  | [] -> (
-      match window with
-      | None -> all
-      | Some w -> List.filter_map (clip_tuple w) all)
+  | [] -> [ select (Trel.tuples relation) ]
   | layout ->
       let rec split tuples = function
         | [] -> []
         | (span, count) :: rest ->
             let block, tail = take count [] tuples in
+            (* Before the recursive call (constructor arguments evaluate
+               right to left), so each block copy dies young. *)
             let kept =
               match window with
               | Some w when not (Interval.overlaps span w) -> []
-              | Some w -> List.filter_map (clip_tuple w) block
-              | None -> block
+              | _ -> select block
             in
             kept :: split tail rest
       in
-      List.concat (split all layout)
+      split (Trel.tuples relation) layout
+
+(* Materialize one join side, pruned by its own shard layout.  No WHERE
+   filtering here — a join query's WHERE is compiled against the
+   combined schema and runs on the joined stream. *)
+let side_tuples ~window ~layout relation =
+  List.concat (windowed_blocks ~window ~keep:(fun _ -> true) ~layout relation)
 
 (* Execute the plan's interval join: materialize both sides (each
    pruned by its own shard layout and clipped to the window), pair
@@ -239,14 +244,14 @@ let side_tuples ~window ~layout relation =
    the joined tuples — left values then right values, valid time from
    {!Join.Predicate.result_interval}.
 
-   The robust path runs the join under one Guard spanning both
-   attempts (a retry does not restart the deadline clock, matching
-   [Engine.eval_robust]); the sweep's active-map slots are metered
-   through an Instrument, so a sweep that blows the memory budget
-   retries as the nested loop — which keeps no per-tuple state — when
-   the recovery policy allows, recorded as a degradation and counted
-   by {!Join.Telemetry}. *)
-let joined_tuples ?robust (plan : Semant.plan) (j : Semant.join_spec) =
+   The join runs under one Guard spanning both attempts (a retry does
+   not restart the deadline clock, matching [Engine.eval_robust]); with
+   a memory budget the sweep's active-map slots are metered through an
+   Instrument, so a sweep that blows the budget retries as the nested
+   loop — which keeps no per-tuple state — when the recovery policy
+   allows, recorded as a degradation and counted by
+   {!Join.Telemetry}. *)
+let joined_tuples ctx (plan : Semant.plan) (j : Semant.join_spec) =
   let left =
     Array.of_list
       (side_tuples ~window:plan.Semant.window ~layout:plan.Semant.shard_layout
@@ -260,84 +265,76 @@ let joined_tuples ?robust (plan : Semant.plan) (j : Semant.join_spec) =
   and rivs = Array.map Tuple.valid right in
   let pairs = ref [] in
   let npairs = ref 0 in
-  let execute ?guard ?instrument strategy =
-    pairs := [];
-    npairs := 0;
-    Join.Engine.run ?guard ?instrument strategy j.Semant.predicate ~left:livs
-      ~right:rivs (fun l r ->
-        pairs := (l, r) :: !pairs;
-        incr npairs)
+  let guard =
+    Tempagg.Guard.create ?memory_budget:ctx.memory_budget
+      ?deadline_ms:ctx.deadline_ms ()
   in
   let span_label s = "join:" ^ Join.Engine.strategy_to_string s in
+  let attempt strategy =
+    pairs := [];
+    npairs := 0;
+    (* Without budgets the join runs unguarded and unmetered. *)
+    let guard, instrument =
+      if Tempagg.Guard.unlimited guard then (None, None)
+      else begin
+        let i = Tempagg.Instrument.create () in
+        Tempagg.Guard.attach guard i;
+        (Some guard, Some i)
+      end
+    in
+    Obs.Trace.with_span (span_label strategy) (fun () ->
+        Join.Engine.run ?guard ?instrument strategy j.Semant.predicate
+          ~left:livs ~right:rivs (fun l r ->
+            pairs := (l, r) :: !pairs;
+            incr npairs))
+  in
+  let deadline_error deadline_ms elapsed_ms =
+    Eval_error (Tempagg.Engine.Deadline_exhausted { deadline_ms; elapsed_ms })
+  in
+  let run_join () =
+    try
+      attempt j.Semant.strategy;
+      j.Semant.strategy
+    with
+    | Tempagg.Guard.Deadline_exceeded { deadline_ms; elapsed_ms } ->
+        raise (deadline_error deadline_ms elapsed_ms)
+    | Tempagg.Guard.Budget_exceeded { budget_bytes; used_bytes } as e -> (
+        match (plan.Semant.on_error, j.Semant.strategy) with
+        | (Tempagg.Engine.Fallback | Tempagg.Engine.Skip), Join.Engine.Sweep
+          -> (
+            let d =
+              {
+                Tempagg.Engine.stage = span_label Join.Engine.Sweep;
+                reason =
+                  Option.value (Tempagg.Guard.describe e)
+                    ~default:"memory budget exceeded";
+                action = "retried as nested-loop-join (no live state)";
+              }
+            in
+            ctx.events <- ctx.events @ [ d ];
+            Option.iter
+              (fun p ->
+                Obs.Profile.note_degradation p
+                  (Tempagg.Engine.degradation_to_string d))
+              ctx.profile;
+            Join.Telemetry.record_fallback ();
+            (* Same guard: the deadline keeps counting across the retry;
+               the nested loop allocates nothing, so the budget cannot
+               trip again. *)
+            try
+              attempt Join.Engine.Nested_loop;
+              Join.Engine.Nested_loop
+            with Tempagg.Guard.Deadline_exceeded { deadline_ms; elapsed_ms } ->
+              raise (deadline_error deadline_ms elapsed_ms))
+        | _ ->
+            raise
+              (Eval_error
+                 (Tempagg.Engine.Budget_exhausted { budget_bytes; used_bytes })))
+  in
   let used =
-    match robust with
-    | None ->
-        Obs.Trace.with_span (span_label j.Semant.strategy) (fun () ->
-            execute j.Semant.strategy);
-        j.Semant.strategy
-    | Some ctx ->
-        let run_join () =
-          let guard =
-            Tempagg.Guard.create ?memory_budget:ctx.memory_budget
-              ?deadline_ms:ctx.deadline_ms ()
-          in
-          let attempt strategy =
-            let instrument = Tempagg.Instrument.create () in
-            Tempagg.Guard.attach guard instrument;
-            Obs.Trace.with_span (span_label strategy) (fun () ->
-                execute ~guard ~instrument strategy)
-          in
-          try
-            attempt j.Semant.strategy;
-            j.Semant.strategy
-          with
-          | Tempagg.Guard.Deadline_exceeded { deadline_ms; elapsed_ms } ->
-              raise
-                (Robust_error
-                   (Tempagg.Engine.Deadline_exhausted { deadline_ms; elapsed_ms }))
-          | Tempagg.Guard.Budget_exceeded { budget_bytes; used_bytes } as e -> (
-              match (plan.Semant.on_error, j.Semant.strategy) with
-              | (Tempagg.Engine.Fallback | Tempagg.Engine.Skip), Join.Engine.Sweep
-                -> (
-                  let d =
-                    {
-                      Tempagg.Engine.stage = span_label Join.Engine.Sweep;
-                      reason =
-                        Option.value (Tempagg.Guard.describe e)
-                          ~default:"memory budget exceeded";
-                      action = "retried as nested-loop-join (no live state)";
-                    }
-                  in
-                  ctx.events <- ctx.events @ [ d ];
-                  Option.iter
-                    (fun p ->
-                      Obs.Profile.note_degradation p
-                        (Tempagg.Engine.degradation_to_string d))
-                    ctx.profile;
-                  Join.Telemetry.record_fallback ();
-                  (* Same guard: the deadline keeps counting across the
-                     retry; the nested loop allocates nothing, so the
-                     budget cannot trip again. *)
-                  try
-                    Obs.Trace.with_span (span_label Join.Engine.Nested_loop)
-                      (fun () -> execute ~guard Join.Engine.Nested_loop);
-                    Join.Engine.Nested_loop
-                  with
-                  | Tempagg.Guard.Deadline_exceeded { deadline_ms; elapsed_ms }
-                    ->
-                      raise
-                        (Robust_error
-                           (Tempagg.Engine.Deadline_exhausted
-                              { deadline_ms; elapsed_ms })))
-              | _ ->
-                  raise
-                    (Robust_error
-                       (Tempagg.Engine.Budget_exhausted
-                          { budget_bytes; used_bytes })))
-        in
-        (match ctx.profile with
-        | Some p -> Obs.Profile.time_phase p "join" run_join
-        | None -> run_join ())
+    match ctx.profile with
+    | Some p -> Obs.Profile.time_phase p "join" run_join
+    | None -> run_join ()
   in
   Join.Telemetry.record ~strategy:used ~pairs:!npairs;
   List.rev_map
@@ -368,78 +365,47 @@ let partitions (plan : Semant.plan) tuples =
            (fun key -> (key, List.rev (Hashtbl.find groups key)))
            !order)
 
-let run_aux ?robust (plan : Semant.plan) =
-  (* Partitioned relation: the physical tuple list is the shards
-     concatenated in order, so walk it block by block.  A shard whose
-     time span misses the DURING window is skipped wholesale — its
-     tuples are never filtered, clipped or even looked at, which is
-     where partition pruning actually saves work on the batch path.
-     A join query does its own per-side pruning in [joined_tuples]. *)
-  let blocks =
-    match (plan.Semant.join, plan.Semant.shard_layout) with
-    | Some _, _ | None, [] -> None
-    | None, layout ->
-        let rec split tuples = function
-          | [] -> []
-          | (span, count) :: rest ->
-              let block, tail = take count [] tuples in
-              let kept =
-                match plan.Semant.window with
-                | Some w when not (Interval.overlaps span w) -> []
-                | Some w ->
-                    List.filter_map
-                      (fun t ->
-                        if plan.Semant.filter t then clip_tuple w t else None)
-                      block
-                | None -> List.filter plan.Semant.filter block
-              in
-              kept :: split tail rest
+let run_aux ctx (plan : Semant.plan) =
+  let tuples, shard_blocks =
+    match plan.Semant.join with
+    | Some j ->
+        (* A join query prunes and windows each side in [joined_tuples];
+           its WHERE runs on the combined tuples. *)
+        (List.filter plan.Semant.filter (joined_tuples ctx plan j), None)
+    | None ->
+        let blocks =
+          windowed_blocks ~window:plan.Semant.window ~keep:plan.Semant.filter
+            ~layout:plan.Semant.shard_layout plan.Semant.relation
         in
-        Some (split (Trel.tuples plan.Semant.relation) layout)
-  in
-  let tuples =
-    match (plan.Semant.join, blocks) with
-    | Some j, _ ->
-        (* The joined stream is already windowed per side; WHERE runs
-           on the combined tuples. *)
-        List.filter plan.Semant.filter (joined_tuples ?robust plan j)
-    | None, Some bs -> List.concat bs
-    | None, None ->
-        let tuples =
-          List.filter plan.Semant.filter (Trel.tuples plan.Semant.relation)
-        in
-        (* DURING window: keep only the overlapping part of each tuple. *)
-        (match plan.Semant.window with
-        | None -> tuples
-        | Some w -> List.filter_map (clip_tuple w) tuples)
+        (* Shard blocks stay usable as evaluation-shard boundaries only
+           while the concatenation order is untouched: a pre-sort
+           reorders across blocks, and grouping partitions the tuples by
+           value. *)
+        ( (match blocks with [ b ] -> b | bs -> List.concat bs),
+          if
+            plan.Semant.shard_layout <> []
+            && plan.Semant.group_columns = []
+            && not plan.Semant.sort_first
+          then Some blocks
+          else None )
   in
   let tuples =
     if plan.Semant.sort_first then
       List.stable_sort Tuple.compare_by_time tuples
     else tuples
   in
-  (* Shard blocks stay usable as evaluation-shard boundaries only while
-     the concatenation order is untouched: a pre-sort reorders across
-     blocks, and grouping partitions the tuples by value. *)
-  let shard_blocks =
-    match blocks with
-    | Some bs
-      when plan.Semant.group_columns = [] && not plan.Semant.sort_first ->
-        Some bs
-    | _ -> None
-  in
   let grouped = plan.Semant.group_columns <> [] in
   let rows =
     List.concat_map
       (fun (key, group_tuples) ->
         let timelines =
-          List.map (agg_timeline ?robust ?shard_blocks plan group_tuples)
+          List.map (agg_timeline ctx ?shard_blocks plan group_tuples)
             plan.Semant.aggregates
         in
+        let refined = zip_timelines timelines in
+        ctx.intervals <- ctx.intervals + Timeline.length refined;
         let zipped =
-          Timeline.coalesce
-            ~equal:(List.equal Value.equal)
-            (zip_timelines timelines)
+          Timeline.coalesce ~equal:(List.equal Value.equal) refined
         in
         let clipped =
           if grouped then
@@ -467,7 +433,25 @@ let run_aux ?robust (plan : Semant.plan) =
   in
   Trel.create plan.Semant.out_schema rows
 
-let run plan = run_aux plan
+type outcome = {
+  result : Trel.t;
+  degradations : Tempagg.Engine.degradation list;
+}
+
+(* Evaluate without recording anything: the result, the degradations
+   and the un-coalesced interval count, or the rendered error. *)
+let evaluate ?memory_budget ?deadline_ms ?profile plan =
+  let ctx = { memory_budget; deadline_ms; profile; events = []; intervals = 0 } in
+  match run_aux ctx plan with
+  | rel -> Ok ({ result = rel; degradations = ctx.events }, ctx.intervals)
+  | exception Eval_error e ->
+      Error ("evaluation failed: " ^ Tempagg.Engine.error_to_string e)
+  | exception Invalid_argument msg -> Error ("evaluation failed: " ^ msg)
+
+let run plan =
+  match evaluate plan with
+  | Ok (o, _) -> o.result
+  | Error msg -> failwith msg
 
 let ( let* ) = Result.bind
 
@@ -527,14 +511,19 @@ let apply_overrides ?algorithm ?domains ?on_error ?join_strategy plan =
 (* Harvest one outcome record into the statistics store after a
    successful run: what ran, how long it took, and — only when the plan
    was a plain scan of the relation — what the run proved about the
-   relation itself.  A k-ordered tree completing without an order
-   violation proves the evaluated stream k-ordered; that transfers to
-   the relation only when the stream was the relation (bare tree, not a
-   parallel shard whose per-shard success says nothing globally) and
-   every aggregate consumed every tuple (a column aggregate skips SQL
-   NULLs, and a subsequence can be *worse*-ordered than its source). *)
-let record_outcome ?profile catalog (plan : Semant.plan) ~elapsed_ms
-    ~degradations result =
+   relation itself.  The constant-interval count is the un-coalesced
+   one: it depends on the relation's endpoints only, where the coalesced
+   result size depends on the aggregate (MAX over a few salary levels
+   coalesces to a handful of rows and would make the planner expect a
+   tiny result for every later query).  A k-ordered tree completing
+   without an order violation proves the evaluated stream k-ordered;
+   that transfers to the relation only when the stream was the relation
+   (bare tree, not a parallel shard whose per-shard success says nothing
+   globally) and every aggregate consumed every tuple (a column
+   aggregate skips SQL NULLs, and a subsequence can be *worse*-ordered
+   than its source). *)
+let record_outcome ?profile ?intervals catalog (plan : Semant.plan)
+    ~elapsed_ms ~degradations _result =
   let bare_korder = function
     | Tempagg.Engine.Korder_tree { k } -> Some k
     | _ -> None
@@ -549,9 +538,7 @@ let record_outcome ?profile catalog (plan : Semant.plan) ~elapsed_ms
       bare_korder plan.Semant.algorithm
     else None
   in
-  let segments =
-    if plan.Semant.plain_scan then Some (Trel.cardinality result) else None
-  in
+  let segments = if plan.Semant.plain_scan then intervals else None in
   Obs.Stats.record
     (Catalog.stats catalog plan.Semant.source_name)
     {
@@ -565,62 +552,8 @@ let record_outcome ?profile catalog (plan : Semant.plan) ~elapsed_ms
       degradations;
     }
 
-let query ?(adaptive = true) ?algorithm ?domains ?join_strategy catalog text =
-  let t0 = Unix.gettimeofday () in
-  let* ast = Parser.parse text in
-  let* plan = Semant.analyze ~adaptive catalog ast in
-  let plan = apply_overrides ?algorithm ?domains ?join_strategy plan in
-  match run plan with
-  | rel ->
-      record_outcome catalog plan
-        ~elapsed_ms:((Unix.gettimeofday () -. t0) *. 1000.)
-        ~degradations:0 rel;
-      Ok rel
-  | exception Invalid_argument msg -> Error ("evaluation failed: " ^ msg)
-  | exception Tempagg.Korder_tree.Order_violation { position; _ } ->
-      Error
-        (Printf.sprintf
-           "evaluation failed: input not k-ordered for the hinted k (tuple \
-            %d); sort the relation or raise k"
-           position)
-
-type robust_report = {
-  result : Trel.t;
-  degradations : Tempagg.Engine.degradation list;
-}
-
-let query_robust ?(adaptive = true) ?algorithm ?domains ?on_error
-    ?join_strategy ?memory_budget ?deadline_ms catalog text =
-  let t0 = Unix.gettimeofday () in
-  let* ast = Parser.parse text in
-  let* plan = Semant.analyze ~adaptive catalog ast in
-  let plan = apply_overrides ?algorithm ?domains ?on_error ?join_strategy plan in
-  let ctx = { memory_budget; deadline_ms; events = []; profile = None } in
-  match run_aux ~robust:ctx plan with
-  | rel ->
-      record_outcome catalog plan
-        ~elapsed_ms:((Unix.gettimeofday () -. t0) *. 1000.)
-        ~degradations:(List.length ctx.events)
-        rel;
-      Ok { result = rel; degradations = ctx.events }
-  | exception Robust_error e ->
-      Error ("evaluation failed: " ^ Tempagg.Engine.error_to_string e)
-  | exception Invalid_argument msg -> Error ("evaluation failed: " ^ msg)
-
-type profiled_report = {
-  result : Trel.t;
-  profile : Obs.Profile.t;
-  degradations : Tempagg.Engine.degradation list;
-}
-
-let query_profiled ?(adaptive = true) ?algorithm ?domains ?on_error
-    ?join_strategy ?memory_budget ?deadline_ms catalog text =
-  let profile = Obs.Profile.create () in
-  let t0 = Unix.gettimeofday () in
-  let* ast = Parser.parse text in
-  let* plan = Semant.analyze ~adaptive catalog ast in
-  let plan = apply_overrides ?algorithm ?domains ?on_error ?join_strategy plan in
-  Obs.Profile.set_query profile (Ast.to_string ast);
+(* What EXPLAIN ANALYZE prints about the plan itself. *)
+let describe_plan profile (plan : Semant.plan) =
   Obs.Profile.set_plan profile
     ~algorithm:(Tempagg.Engine.name plan.Semant.algorithm)
     ~rationale:plan.Semant.rationale;
@@ -639,30 +572,49 @@ let query_profiled ?(adaptive = true) ?algorithm ?domains ?on_error
     | Tempagg.Engine.Parallel { inner; _ } -> k_of inner
     | _ -> None
   in
-  Option.iter (Obs.Profile.set_k_estimate profile) (k_of plan.Semant.algorithm);
-  Obs.Profile.add_phase profile "parse+analyze"
-    ((Unix.gettimeofday () -. t0) *. 1000.);
-  let ctx =
-    { memory_budget; deadline_ms; events = []; profile = Some profile }
-  in
-  match run_aux ~robust:ctx plan with
-  | rel ->
-      Obs.Profile.set_segments profile (Trel.cardinality rel);
-      let total_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-      Obs.Profile.set_total_ms profile total_ms;
-      record_outcome ~profile catalog plan ~elapsed_ms:total_ms
-        ~degradations:(List.length ctx.events)
-        rel;
-      Ok { result = rel; profile; degradations = ctx.events }
-  | exception Robust_error e ->
-      Error ("evaluation failed: " ^ Tempagg.Engine.error_to_string e)
-  | exception Invalid_argument msg -> Error ("evaluation failed: " ^ msg)
+  Option.iter (Obs.Profile.set_k_estimate profile) (k_of plan.Semant.algorithm)
 
-let explain ?(adaptive = true) ?algorithm ?domains ?on_error ?join_strategy
+let execute ?memory_budget ?deadline_ms ?profile catalog plan =
+  let t0 = Obs.Trace.now_us () in
+  Option.iter
+    (fun p ->
+      Obs.Profile.add_phase p "parse+analyze" (Obs.Profile.elapsed_ms p);
+      describe_plan p plan)
+    profile;
+  let* outcome, intervals = evaluate ?memory_budget ?deadline_ms ?profile plan in
+  let elapsed_ms = float_of_int (Obs.Trace.now_us () - t0) /. 1000. in
+  Option.iter
+    (fun p ->
+      Obs.Profile.set_segments p (Trel.cardinality outcome.result);
+      Obs.Profile.set_total_ms p (Obs.Profile.elapsed_ms p))
+    profile;
+  record_outcome ?profile ~intervals catalog plan ~elapsed_ms
+    ~degradations:(List.length outcome.degradations)
+    outcome.result;
+  Ok outcome
+
+let plan ?(adaptive = true) ?algorithm ?domains ?on_error ?join_strategy
+    ?profile catalog ast =
+  let* plan = Semant.analyze ~adaptive catalog ast in
+  Option.iter (fun p -> Obs.Profile.set_query p (Ast.to_string ast)) profile;
+  Ok (apply_overrides ?algorithm ?domains ?on_error ?join_strategy plan)
+
+let prepare ?adaptive ?algorithm ?domains ?on_error ?join_strategy ?profile
     catalog text =
   let* ast = Parser.parse text in
-  let* plan = Semant.analyze ~adaptive catalog ast in
-  let plan = apply_overrides ?algorithm ?domains ?on_error ?join_strategy plan in
+  plan ?adaptive ?algorithm ?domains ?on_error ?join_strategy ?profile catalog
+    ast
+
+let query ?adaptive ?algorithm ?domains ?join_strategy catalog text =
+  let* plan = prepare ?adaptive ?algorithm ?domains ?join_strategy catalog text in
+  let* outcome = execute catalog plan in
+  Ok outcome.result
+
+let explain ?adaptive ?algorithm ?domains ?on_error ?join_strategy catalog
+    text =
+  let* plan =
+    prepare ?adaptive ?algorithm ?domains ?on_error ?join_strategy catalog text
+  in
   let join_scan =
     match plan.Semant.join with
     | None -> ""

@@ -13,8 +13,43 @@
     group's lifespan, since an unbounded all-empty timeline per group is
     rarely useful. *)
 
+type outcome = {
+  result : Relation.Trel.t;
+  degradations : Tempagg.Engine.degradation list;
+      (** Every recovery event across all per-aggregate, per-group
+          evaluations, in occurrence order.  Empty on a clean run. *)
+}
+
+val execute :
+  ?memory_budget:int ->
+  ?deadline_ms:float ->
+  ?profile:Obs.Profile.t ->
+  Catalog.t ->
+  Semant.plan ->
+  (outcome, string) result
+(** Evaluate an analyzed plan and record its outcome in the catalog's
+    statistics store — the one path every query takes.  Every engine
+    evaluation goes through {!Tempagg.Engine.eval_robust} (or
+    {!Tempagg.Span.eval_robust}) under the plan's own [on_error]
+    policy: budgets and deadlines (per evaluation) are enforced,
+    failures walk the recovery chain when the policy allows, and every
+    degradation is reported, never applied silently.  With no budget,
+    no profile and the [fail] policy the run costs what a bare
+    {!Tempagg.Engine.eval} costs.
+
+    [?profile] threads an {!Obs.Profile} through every evaluation (the
+    implementation behind [EXPLAIN ANALYZE] and the CLI's [--profile]);
+    create it before parsing, since its "parse+analyze" phase and total
+    are measured from its creation.  Profiling forces instrumentation,
+    so the run costs what {!Tempagg.Engine.eval_with_stats} costs.
+    [Error _] carries the rendered structured error when recovery is
+    impossible or disallowed. *)
+
 val run : Semant.plan -> Relation.Trel.t
-(** Execute an analyzed plan. *)
+(** {!execute}'s evaluation without budgets, profile or outcome
+    record.
+    @raise Failure with {!execute}'s error message when evaluation
+    fails. *)
 
 type value_monoid =
   | Value_monoid : (Relation.Value.t, 's, Relation.Value.t) Tempagg.Monoid.t -> value_monoid
@@ -33,6 +68,39 @@ val zip_timelines :
 (** Refine a non-empty list of timelines over a common cover into one
     timeline of value lists (in input order). *)
 
+val plan :
+  ?adaptive:bool ->
+  ?algorithm:Tempagg.Engine.algorithm ->
+  ?domains:int ->
+  ?on_error:Tempagg.Engine.on_error ->
+  ?join_strategy:Join.Engine.strategy ->
+  ?profile:Obs.Profile.t ->
+  Catalog.t ->
+  Ast.query ->
+  (Semant.plan, string) result
+(** Analyze a parsed query and apply the overrides.  [?adaptive]
+    (default true) lets the planner consult the catalog's statistics
+    store — the CLI's [--no-adaptive] turns it off (outcomes are still
+    recorded).  [?algorithm] replaces the planned evaluation algorithm
+    (the CLI's [--algorithm]); [?domains] above 1 wraps it in
+    {!Tempagg.Engine.Parallel} over that many OCaml domains
+    ([--domains]); [?on_error] replaces the query's [ON ERROR] clause or
+    the optimizer's recommendation ([--on-error]); [?join_strategy]
+    pins the interval-join strategy ([--join-strategy]; ignored for
+    join-free queries).  [?profile] receives the query text. *)
+
+val prepare :
+  ?adaptive:bool ->
+  ?algorithm:Tempagg.Engine.algorithm ->
+  ?domains:int ->
+  ?on_error:Tempagg.Engine.on_error ->
+  ?join_strategy:Join.Engine.strategy ->
+  ?profile:Obs.Profile.t ->
+  Catalog.t ->
+  string ->
+  (Semant.plan, string) result
+(** Parse, then {!plan}. *)
+
 val query :
   ?adaptive:bool ->
   ?algorithm:Tempagg.Engine.algorithm ->
@@ -41,19 +109,12 @@ val query :
   Catalog.t ->
   string ->
   (Relation.Trel.t, string) result
-(** Parse, analyze and run: the whole pipeline.  [?adaptive] (default
-    true) lets the planner consult the catalog's statistics store, and
-    every successful run feeds an outcome record back into it —
-    the CLI's [--no-adaptive] turns the planning half off (outcomes are
-    still recorded).  [?algorithm] overrides the planned evaluation
-    algorithm (the CLI's [--algorithm]); [?domains] with a value above 1
-    wraps the planned algorithm in {!Tempagg.Engine.Parallel} over that
-    many OCaml domains (the CLI's [--domains]); [?join_strategy] pins
-    the interval-join strategy (the CLI's [--join-strategy]; ignored
-    for join-free queries). *)
+(** {!prepare} then {!execute}: the whole pipeline, for callers that
+    want only the result relation. *)
 
 val record_outcome :
   ?profile:Obs.Profile.t ->
+  ?intervals:int ->
   Catalog.t ->
   Semant.plan ->
   elapsed_ms:float ->
@@ -62,61 +123,10 @@ val record_outcome :
   unit
 (** Feed one successful run into the catalog's statistics store: input
     cardinality, algorithm, latency, peak bytes (when profiled), and —
-    only for a plain scan — the result's constant-interval count and
-    any k bound the run proved (a bare k-ordered tree completing with
-    every aggregate consuming every tuple).  The query entry points call
-    this themselves; it is exposed for {!Session}'s view-recompute
-    path. *)
-
-type robust_report = {
-  result : Relation.Trel.t;
-  degradations : Tempagg.Engine.degradation list;
-      (** Every recovery event across all per-aggregate, per-group
-          evaluations, in occurrence order.  Empty on a clean run. *)
-}
-
-val query_robust :
-  ?adaptive:bool ->
-  ?algorithm:Tempagg.Engine.algorithm ->
-  ?domains:int ->
-  ?on_error:Tempagg.Engine.on_error ->
-  ?join_strategy:Join.Engine.strategy ->
-  ?memory_budget:int ->
-  ?deadline_ms:float ->
-  Catalog.t ->
-  string ->
-  (robust_report, string) result
-(** Like {!query}, but every engine evaluation goes through
-    {!Tempagg.Engine.eval_robust}: budgets and deadlines are enforced
-    (per evaluation), failures walk the plan's recovery policy
-    ([?on_error] overrides the query's [ON ERROR] clause or the
-    optimizer's recommendation), and every degradation is reported —
-    never applied silently.  [Error _] carries the rendered structured
-    error when recovery is impossible or disallowed. *)
-
-type profiled_report = {
-  result : Relation.Trel.t;
-  profile : Obs.Profile.t;
-      (** Plan, rationale, k estimate, every attempt (aborted ones
-          included), degradations, phase timings and output size. *)
-  degradations : Tempagg.Engine.degradation list;
-}
-
-val query_profiled :
-  ?adaptive:bool ->
-  ?algorithm:Tempagg.Engine.algorithm ->
-  ?domains:int ->
-  ?on_error:Tempagg.Engine.on_error ->
-  ?join_strategy:Join.Engine.strategy ->
-  ?memory_budget:int ->
-  ?deadline_ms:float ->
-  Catalog.t ->
-  string ->
-  (profiled_report, string) result
-(** {!query_robust} with an {!Obs.Profile} threaded through every engine
-    evaluation — the implementation behind [EXPLAIN ANALYZE] and the
-    CLI's [--profile].  Profiling forces instrumentation, so the run
-    costs what {!Tempagg.Engine.eval_with_stats} costs. *)
+    only for a plain scan — the run's un-coalesced constant-interval
+    count [?intervals] (no observation when absent) and any k bound the
+    run proved (a bare k-ordered tree completing with every aggregate
+    consuming every tuple).  {!execute} calls this itself. *)
 
 val explain :
   ?adaptive:bool ->
@@ -127,8 +137,8 @@ val explain :
   Catalog.t ->
   string ->
   (string, string) result
-(** Parse and analyze only; describe the chosen strategy (algorithm,
-    sorting, grouping, join strategy and rationale for join queries,
-    recovery policy when not [fail]) without running the query.  Takes
-    the same overrides as {!query} so [explain] shows exactly what
-    [query] would run. *)
+(** {!prepare} only; describe the chosen strategy (algorithm, sorting,
+    grouping, join strategy and rationale for join queries, recovery
+    policy when not [fail]) without running the query.  Takes the same
+    overrides as {!plan}, so [explain] shows exactly what {!execute}
+    would run. *)

@@ -145,10 +145,18 @@ let create ?(cache_capacity = 128) ?(adaptive = true) ?data_dir
     (Catalog.names source);
   t
 
+(* mkdir -p: a --data-dir that does not exist yet is created with its
+   parents.  Raises [Unix.Unix_error] when a component cannot be made. *)
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
+
 let ensure_data_dir t =
   match t.data_dir with
   | Some dir ->
-      if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+      mkdir_p dir;
       dir
   | None ->
       let dir = Filename.temp_dir "tempagg-session" "" in
@@ -318,21 +326,9 @@ let interval_of_window { Ast.w_start; w_stop } =
   Interval.make (Chronon.of_int w_start)
     (match w_stop with Some e -> Chronon.of_int e | None -> Chronon.forever)
 
-let run_plan t plan =
-  let t0_us = Obs.Trace.now_us () in
-  match Eval.run plan with
-  | rel ->
-      Eval.record_outcome (catalog t) plan
-        ~elapsed_ms:(float_of_int (Obs.Trace.now_us () - t0_us) /. 1000.)
-        ~degradations:0 rel;
-      Ok rel
-  | exception Invalid_argument msg -> Error ("evaluation failed: " ^ msg)
-  | exception Tempagg.Korder_tree.Order_violation { position; _ } ->
-      Error
-        (Printf.sprintf
-           "evaluation failed: input not k-ordered for the hinted k (tuple \
-            %d); sort the relation or raise k"
-           position)
+(* Evaluate an analyzed plan for its rows (view materialization). *)
+let rows catalog plan =
+  Result.map (fun o -> o.Eval.result) (Eval.execute catalog plan)
 
 let incremental_capable (q : Ast.query) (plan : Semant.plan) =
   q.Ast.group_by = []
@@ -346,14 +342,15 @@ let create_view t name definition =
   else if Hashtbl.mem t.views (fold definition.Ast.from) then
     Error "views cannot be defined over views"
   else
-    let* plan = Semant.analyze ~adaptive:t.adaptive (catalog t) definition in
+    let cat = catalog t in
+    let* plan = Semant.analyze ~adaptive:t.adaptive cat definition in
     let source = fold definition.Ast.from in
     let base = Hashtbl.find t.bases source in
     let* strategy =
       if incremental_capable definition plan then
         Ok (Incremental (build_incremental t plan base))
       else
-        let* rel = run_plan t plan in
+        let* rel = rows cat plan in
         Ok (Recompute { rel; stale = false })
     in
     let replaced = Hashtbl.mem t.views key in
@@ -381,13 +378,14 @@ let refresh_view t name =
   match Hashtbl.find_opt t.views (fold name) with
   | None -> Error (Printf.sprintf "unknown view %S" name)
   | Some v ->
-      let* plan = Semant.analyze ~adaptive:t.adaptive (catalog t) v.definition in
+      let cat = catalog t in
+      let* plan = Semant.analyze ~adaptive:t.adaptive cat v.definition in
       let base = Hashtbl.find t.bases v.source in
       let* strategy =
         match v.strategy with
         | Incremental _ -> Ok (Incremental (build_incremental t plan base))
         | Recompute _ ->
-            let* rel = run_plan t plan in
+            let* rel = rows cat plan in
             t.stats.Live.Stats.rebuilds <- t.stats.Live.Stats.rebuilds + 1;
             Ok (Recompute { rel; stale = false })
       in
@@ -471,14 +469,20 @@ let create_table t name columns boundaries =
     match Schema.of_pairs columns with
     | exception Invalid_argument msg -> Error ("invalid schema: " ^ msg)
     | schema -> (
-        let dir = Filename.concat (ensure_data_dir t) key in
         match
-          Storage.Partition.create ?split_threshold:t.split_threshold
-            ~boundaries ~dir schema
+          let dir = Filename.concat (ensure_data_dir t) key in
+          ( dir,
+            Storage.Partition.create ?split_threshold:t.split_threshold
+              ~boundaries ~dir schema )
         with
         | exception Invalid_argument msg ->
             Error ("CREATE TABLE failed: " ^ msg)
-        | p ->
+        | exception Unix.Unix_error (err, _, path) ->
+            Error
+              (Printf.sprintf "CREATE TABLE failed: %s: %s" path
+                 (Unix.error_message err))
+        | exception Sys_error msg -> Error ("CREATE TABLE failed: " ^ msg)
+        | dir, p ->
             Hashtbl.replace t.bases key
               {
                 bname = name;
@@ -573,10 +577,9 @@ let compute_view_rows t v window =
   | Recompute r ->
       let* () =
         if r.stale then begin
-          let* plan =
-            Semant.analyze ~adaptive:t.adaptive (catalog t) v.definition
-          in
-          let* rel = run_plan t plan in
+          let cat = catalog t in
+          let* plan = Semant.analyze ~adaptive:t.adaptive cat v.definition in
+          let* rel = rows cat plan in
           r.rel <- rel;
           r.stale <- false;
           t.stats.Live.Stats.rebuilds <- t.stats.Live.Stats.rebuilds + 1;
@@ -615,62 +618,55 @@ let select_view t v (q : Ast.query) =
           ~version:v.vversion rel;
         Ok (Rows rel)
 
+(* Credit each partition the plan reads with the shards it scanned and
+   pruned (a join's right side prunes against its own layout). *)
+let record_pruning t (plan : Semant.plan) =
+  let credit name ~scanned ~pruned =
+    match Hashtbl.find_opt t.bases (fold name) with
+    | Some { part = Some p; _ } ->
+        Storage.Partition.record_pruning p ~scanned ~pruned
+    | _ -> ()
+  in
+  if plan.Semant.shard_layout <> [] then
+    credit plan.Semant.source_name ~scanned:plan.Semant.scanned_shards
+      ~pruned:plan.Semant.pruned_shards;
+  match plan.Semant.join with
+  | Some j when j.Semant.right_shard_layout <> [] ->
+      credit j.Semant.right_name ~scanned:j.Semant.right_scanned
+        ~pruned:j.Semant.right_pruned
+  | _ -> ()
+
+(* A base-relation SELECT: plan against the current catalog, then
+   execute that plan under the caller's budgets (the network server's
+   admission controller) and the plan's recovery policy, which
+   [on_error] replaces when given. *)
 let select ?memory_budget ?deadline_ms ?on_error t (q : Ast.query) =
   match Hashtbl.find_opt t.views (fold q.Ast.from) with
   | Some v -> select_view t v q
   | None ->
-      let* plan = Semant.analyze ~adaptive:t.adaptive (catalog t) q in
-      (if plan.Semant.shard_layout <> [] then
-         match Hashtbl.find_opt t.bases (fold q.Ast.from) with
-         | Some { part = Some p; _ } ->
-             Storage.Partition.record_pruning p
-               ~scanned:plan.Semant.scanned_shards
-               ~pruned:plan.Semant.pruned_shards
-         | _ -> ());
-      (* A join's right side prunes against its own layout; credit its
-         partition the same way. *)
-      (match plan.Semant.join with
-      | Some j when j.Semant.right_shard_layout <> [] -> (
-          match Hashtbl.find_opt t.bases (fold j.Semant.right_name) with
-          | Some { part = Some p; _ } ->
-              Storage.Partition.record_pruning p
-                ~scanned:j.Semant.right_scanned ~pruned:j.Semant.right_pruned
-          | _ -> ())
-      | _ -> ());
-      (match plan.Semant.join with
-      | Some j ->
-          t.last_join <- Some (Join.Engine.strategy_to_string j.Semant.strategy)
-      | None -> ());
-      if memory_budget = None && deadline_ms = None && on_error = None then
-        let* rel = run_plan t plan in
-        Ok (Rows rel)
-      else
-        (* A caller-imposed budget (the network server's admission
-           controller) routes the evaluation through the robust engine:
-           blown budgets walk the fallback chain instead of failing, and
-           the degradation count is surfaced via [last_degradations]. *)
-        match
-          Eval.query_robust ~adaptive:t.adaptive ?on_error ?memory_budget
-            ?deadline_ms (catalog t) (Ast.to_string q)
-        with
-        | Ok { Eval.result; degradations } ->
-            t.last_degradations <- List.length degradations;
-            (* A degradation event in a join stage means the planned
-               strategy was abandoned for the nested-loop retry; mark
-               the recorded strategy so the slowlog can tell them
-               apart. *)
-            (match t.last_join with
-            | Some chosen
-              when List.exists
-                     (fun d ->
-                       String.length d.Tempagg.Engine.stage >= 5
-                       && String.sub d.Tempagg.Engine.stage 0 5 = "join:")
-                     degradations ->
-                t.last_join <-
-                  Some (chosen ^ " -> nested-loop-join (fallback)")
-            | _ -> ());
-            Ok (Rows result)
-        | Error _ as e -> e
+      let cat = catalog t in
+      let* plan = Eval.plan ~adaptive:t.adaptive ?on_error cat q in
+      record_pruning t plan;
+      let* { Eval.result; degradations } =
+        Eval.execute ?memory_budget ?deadline_ms cat plan
+      in
+      t.last_degradations <- List.length degradations;
+      (* A degradation event in a join stage means the planned strategy
+         was abandoned for the nested-loop retry; mark the recorded
+         strategy so the slowlog can tell them apart. *)
+      t.last_join <-
+        Option.map
+          (fun (j : Semant.join_spec) ->
+            let chosen = Join.Engine.strategy_to_string j.Semant.strategy in
+            if
+              List.exists
+                (fun d ->
+                  String.starts_with ~prefix:"join:" d.Tempagg.Engine.stage)
+                degradations
+            then chosen ^ " -> nested-loop-join (fallback)"
+            else chosen)
+          plan.Semant.join;
+      Ok (Rows result)
 
 let explain_analyze t (q : Ast.query) =
   match Hashtbl.find_opt t.views (fold q.Ast.from) with
@@ -681,12 +677,12 @@ let explain_analyze t (q : Ast.query) =
             answers come from a materialized timeline, not a fresh \
             evaluation)"
            v.vname)
-  | None -> (
-      match
-        Eval.query_profiled ~adaptive:t.adaptive (catalog t) (Ast.to_string q)
-      with
-      | Ok { Eval.profile; _ } -> Ok (Ack (Obs.Profile.to_string profile))
-      | Error _ as e -> e)
+  | None ->
+      let profile = Obs.Profile.create () in
+      let cat = catalog t in
+      let* plan = Eval.plan ~adaptive:t.adaptive ~profile cat q in
+      let* _ = Eval.execute ~profile cat plan in
+      Ok (Ack (Obs.Profile.to_string profile))
 
 (* ANALYZE: one pass over the relation in physical order, feeding the
    streaming k estimator and the distinct-endpoint sketch; the exact

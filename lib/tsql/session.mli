@@ -59,16 +59,16 @@ val exec_statement :
   t ->
   Ast.statement ->
   (outcome, string) result
-(** Execute one parsed statement.  The optional guard budgets apply to
-    SELECTs against base relations (the statements whose cost is
-    unbounded): when any is given the evaluation runs through
-    {!Eval.query_robust}, so a blown budget walks the fallback chain
-    under the given [on_error] policy (or the query's own [ON ERROR]
-    clause) instead of failing outright, and {!last_degradations}
-    reports how many recovery events occurred.  View answers, DDL and
-    DML ignore the budgets — they are bounded by construction.  This is
-    how the network server's admission controller degrades saturated
-    queries instead of shedding them. *)
+(** Execute one parsed statement.  A SELECT against a base relation is
+    planned once and run by {!Eval.execute} under the plan's recovery
+    policy — the query's own [ON ERROR] clause or the optimizer's
+    recommendation, replaced by [on_error] when given — and the
+    optional guard budgets, so a failure walks the fallback chain when
+    the policy allows and {!last_degradations} reports how many
+    recovery events occurred.  View answers, DDL and DML ignore the
+    budgets — they are bounded by construction.  This is how the
+    network server's admission controller degrades saturated queries
+    instead of shedding them. *)
 
 val last_degradations : t -> int
 (** Number of degradations reported by the most recent statement
@@ -127,4 +127,4 @@ val add_partition : t -> string -> Storage.Partition.t -> unit
 
 val partitions : t -> (string * Storage.Partition.t) list
 (** The partitioned base relations, sorted by name — the [SHOW
-    PARTITIONS] rows and the serve loop's per-relation shard gauges. *)
+    PARTITIONS] rows and the server's per-relation shard gauges. *)

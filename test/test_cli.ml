@@ -1,29 +1,8 @@
 (* End-to-end tests of the tempagg command-line tool, driving the built
    binary as a user would. *)
 
-(* The CLI binary sits next to this test in the build tree:
-   _build/default/{test/test_cli.exe, bin/tempagg_cli.exe}.  Resolve it
-   from the executable's own path so the tests work from any cwd. *)
-let cli =
-  Filename.concat
-    (Filename.dirname (Filename.dirname Sys.executable_name))
-    (Filename.concat "bin" "tempagg_cli.exe")
-
-let temp_out () = Filename.temp_file "tempagg_cli" ".out"
-
-(* Runs the CLI with the given arguments, returning (exit code, stdout). *)
-let run args =
-  let out = temp_out () in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists out then Sys.remove out)
-    (fun () ->
-      let cmd =
-        Printf.sprintf "%s %s > %s 2>&1" cli
-          (String.concat " " (List.map Filename.quote args))
-          out
-      in
-      let code = Sys.command cmd in
-      (code, In_channel.with_open_text out In_channel.input_all))
+let run = Cli_harness.run
+let with_tempdir = Cli_harness.with_tempdir
 
 let contains hay needle =
   let lh = String.length hay and ln = String.length needle in
@@ -33,16 +12,6 @@ let contains hay needle =
 let check_contains output fragment =
   if not (contains output fragment) then
     Alcotest.fail (Printf.sprintf "output %S lacks %S" output fragment)
-
-let with_tempdir f =
-  let dir = Filename.temp_file "tempagg_cli" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun x -> Sys.remove (Filename.concat dir x)) (Sys.readdir dir);
-      Sys.rmdir dir)
-    (fun () -> f dir)
 
 let test_query_employed () =
   let code, out = run [ "query"; "SELECT COUNT(Name) FROM Employed" ] in
@@ -236,45 +205,48 @@ let test_inject_faults_flags () =
       Alcotest.(check bool) "bad spec rejected" true (code <> 0);
       check_contains out "torn")
 
+(* A script runs as one connection over the stdin transport. *)
 let test_serve_script () =
-  with_tempdir (fun dir ->
-      let script = Filename.concat dir "ops.tsql" in
-      Out_channel.with_open_text script (fun oc ->
-          output_string oc
-            "-- live view over the paper's Employed relation\n\
-             CREATE VIEW hc AS SELECT COUNT(Name) FROM Employed;\n\
-             SELECT * FROM hc DURING [8,20];\n\
-             INSERT INTO Employed VALUES ('Zoe', 60000) DURING [12,18];\n\
-             SELECT * FROM hc DURING [8,20];\n\
-             DELETE FROM Employed WHERE Name = 'Zoe';\n\
-             DROP VIEW hc\n");
-      let code, out = run [ "serve"; "--echo"; "--script"; script ] in
-      Alcotest.(check int) "exit 0" 0 code;
-      (* --echo shows the view's rows before and after the write... *)
-      check_contains out "| [18,20] |";
-      (* ...and the closing report aggregates latency per statement kind
-         plus the live-subsystem counters. *)
-      check_contains out "serve: 6 op(s)";
-      check_contains out "select";
-      check_contains out "create-view";
-      check_contains out "p99-us";
-      check_contains out "cache")
+  let code, out =
+    Cli_harness.serve_stdin
+      "-- live view over the paper's Employed relation\n\
+       CREATE VIEW hc AS SELECT COUNT(Name) FROM Employed\n\
+       SELECT * FROM hc DURING [8,20]\n\
+       INSERT INTO Employed VALUES ('Zoe', 60000) DURING [12,18]\n\
+       SELECT * FROM hc DURING [8,20]\n\
+       DELETE FROM Employed WHERE Name = 'Zoe'\n\
+       DROP VIEW hc\n"
+  in
+  Alcotest.(check int) "exit 0" 0 code;
+  (* Every reply is printed: the view's rows before and after the
+     write... *)
+  check_contains out "|           2 | [8,12]  |";
+  check_contains out "|           3 | [12,12] |";
+  (* ...and the closing report aggregates latency per statement kind
+     plus the live-subsystem counters. *)
+  check_contains out "6 request(s)";
+  check_contains out "create-view";
+  check_contains out "p99-us";
+  check_contains out "cache";
+  match Cli_harness.kind_row out "select" with
+  | Some (_ :: ops :: _) -> Alcotest.(check string) "select ops" "2" ops
+  | _ -> Alcotest.fail ("no select row in " ^ out)
 
-let test_serve_missing_script () =
-  with_tempdir (fun dir ->
-      let code, out =
-        run [ "serve"; "--script"; Filename.concat dir "nope.tsql" ]
-      in
-      Alcotest.(check bool) "nonzero exit" true (code <> 0);
-      check_contains out "nope.tsql")
+let test_serve_requires_listen () =
+  let code, out = run [ "serve" ] in
+  Alcotest.(check bool) "nonzero exit" true (code <> 0);
+  check_contains out "--listen"
 
+(* A line that fails to parse is answered with ERR, and the script
+   carries on with the next line. *)
 let test_serve_parse_error () =
-  with_tempdir (fun dir ->
-      let script = Filename.concat dir "bad.tsql" in
-      Out_channel.with_open_text script (fun oc ->
-          output_string oc "SELECT FROM ;\n");
-      let code, _ = run [ "serve"; "--script"; script ] in
-      Alcotest.(check bool) "nonzero exit" true (code <> 0))
+  let code, out =
+    Cli_harness.serve_stdin "SELECT FROM ;\nSELECT COUNT(Name) FROM Employed\n"
+  in
+  Alcotest.(check int) "exit 0" 0 code;
+  check_contains out "ERR ";
+  check_contains out "| [18,20] |";
+  check_contains out "1 error(s)"
 
 (* The observability flags on query: --profile prints the EXPLAIN
    ANALYZE report, --metrics a Prometheus exposition, --trace a Chrome
@@ -304,22 +276,68 @@ let test_query_observability_flags () =
       check_contains json "{\"traceEvents\":[";
       check_contains json "\"name\":\"shard\"")
 
-let test_serve_metrics_every () =
+(* A METRICS line prints the exposition at that point of the script. *)
+let test_serve_metrics_line () =
+  let code, out =
+    Cli_harness.serve_stdin
+      "SELECT COUNT(Name) FROM Employed\n\
+       EXPLAIN ANALYZE SELECT COUNT(Name) FROM Employed\n\
+       METRICS\n\
+       SELECT COUNT(Name) FROM Employed DURING [8,20]\n"
+  in
+  Alcotest.(check int) "exit 0" 0 code;
+  check_contains out "tempagg_net_latency_us_bucket{kind=\"explain-analyze\"";
+  check_contains out "tempagg_live_cache_hits";
+  check_contains out "3 request(s)"
+
+(* A generated relation's physical order defeats ktree(1); the query's
+   own ON ERROR FALLBACK must recover on every path, with no budget or
+   override given. *)
+let test_query_on_error_clause () =
   with_tempdir (fun dir ->
-      let script = Filename.concat dir "ops.tsql" in
-      Out_channel.with_open_text script (fun oc ->
-          output_string oc
-            "SELECT COUNT(Name) FROM Employed;\n\
-             EXPLAIN ANALYZE SELECT COUNT(Name) FROM Employed;\n\
-             SELECT COUNT(Name) FROM Employed DURING [8,20]\n");
+      let csv = Filename.concat dir "r.csv" in
+      let code, _ = run [ "generate"; "-n"; "2000"; "-o"; csv ] in
+      Alcotest.(check int) "generate" 0 code;
+      let q = "SELECT COUNT(*) FROM R USING ktree(1) ON ERROR FALLBACK" in
+      let code, out = run [ "query"; "-r"; "R=" ^ csv; q ] in
+      Alcotest.(check int) ("query recovers: " ^ out) 0 code;
+      check_contains out "degraded:";
       let code, out =
-        run [ "serve"; "--metrics-every"; "2"; "--script"; script ]
+        Cli_harness.serve_stdin ~args:[ "-r"; "R=" ^ csv ] (q ^ "\n")
       in
       Alcotest.(check int) "exit 0" 0 code;
-      check_contains out "-- metrics after 2 statement(s) --";
-      check_contains out "tempagg_serve_latency_us_bucket";
-      check_contains out "explain-analyze";
-      check_contains out "serve: 3 op(s)")
+      check_contains out "OK ";
+      check_contains out " degraded";
+      check_contains out "0 error(s)")
+
+(* A --data-dir that does not exist yet is created with its parents;
+   each connection's tables go under DIR/conn-N/NAME.  A directory that
+   cannot be made is a clean per-statement error. *)
+let test_serve_data_dir () =
+  with_tempdir (fun dir ->
+      let data = Filename.concat dir (Filename.concat "a" "b") in
+      let code, out =
+        Cli_harness.serve_stdin ~args:[ "--data-dir"; data ]
+          "CREATE TABLE t (v INT) PARTITION BY RANGE (vt) (100)\n\
+           INSERT INTO t VALUES (1) DURING [5,150]\n\
+           SELECT COUNT(*) FROM t\n"
+      in
+      Alcotest.(check int) "exit 0" 0 code;
+      check_contains out "table t created: 2 shard(s)";
+      check_contains out "0 error(s)";
+      Alcotest.(check bool) "DIR/conn-0/t" true
+        (Sys.is_directory
+           (Filename.concat data (Filename.concat "conn-0" "t")));
+      let file = Filename.concat dir "plain-file" in
+      Out_channel.with_open_text file (fun oc -> output_string oc "x");
+      let code, out =
+        Cli_harness.serve_stdin ~args:[ "--data-dir"; file ]
+          "CREATE TABLE t (v INT) PARTITION BY RANGE (vt) (100)\n"
+      in
+      Alcotest.(check int) "exit 0" 0 code;
+      check_contains out "ERR CREATE TABLE failed:";
+      if contains out "internal error" then
+        Alcotest.fail ("unclean error: " ^ out))
 
 let quick name f = Alcotest.test_case name `Quick f
 
@@ -342,10 +360,12 @@ let () =
           quick "--deadline-ms" test_deadline_flag;
           quick "--inject-faults" test_inject_faults_flags;
           quick "serve script" test_serve_script;
-          quick "serve missing script" test_serve_missing_script;
+          quick "serve without --listen" test_serve_requires_listen;
           quick "serve parse error" test_serve_parse_error;
           quick "query --profile/--metrics/--trace"
             test_query_observability_flags;
-          quick "serve --metrics-every" test_serve_metrics_every;
+          quick "serve METRICS line" test_serve_metrics_line;
+          quick "query and serve honour ON ERROR" test_query_on_error_clause;
+          quick "serve --data-dir created" test_serve_data_dir;
         ] );
     ]

@@ -360,11 +360,18 @@ let wide_catalog () =
   let r = Relation.Trel.create rschema (List.init n (mk "x")) in
   Tsql.Catalog.add (Tsql.Catalog.add (Tsql.Catalog.with_builtins ()) "l" l) "r" r
 
+(* Plan [q] under the overrides, then execute the plan under a memory
+   budget. *)
+let execute_budgeted ~on_error ~memory_budget cat q =
+  Result.bind
+    (Tsql.Eval.prepare ~join_strategy:Join.Engine.Sweep ~on_error cat q)
+    (Tsql.Eval.execute ~memory_budget cat)
+
 let budget_fallback () =
   let q = "SELECT COUNT(*) FROM l JOIN r ON l.vt MEETS r.vt" in
   (match
-     Tsql.Eval.query_robust ~join_strategy:Join.Engine.Sweep
-       ~on_error:Tempagg.Engine.Fallback ~memory_budget:400 (wide_catalog ()) q
+     execute_budgeted ~on_error:Tempagg.Engine.Fallback ~memory_budget:400
+       (wide_catalog ()) q
    with
   | Error m -> Alcotest.fail ("fallback path: " ^ m)
   | Ok { Tsql.Eval.result; degradations } ->
@@ -380,8 +387,8 @@ let budget_fallback () =
       Alcotest.(check bool) "same rows after fallback" true
         (rows plain = rows result));
   match
-    Tsql.Eval.query_robust ~join_strategy:Join.Engine.Sweep
-      ~on_error:Tempagg.Engine.Fail ~memory_budget:400 (wide_catalog ()) q
+    execute_budgeted ~on_error:Tempagg.Engine.Fail ~memory_budget:400
+      (wide_catalog ()) q
   with
   | Ok _ -> Alcotest.fail "Fail policy should surface the budget error"
   | Error m ->

@@ -553,6 +553,31 @@ let test_e2e_shed_request_pinned () =
           | Ok (Net.Protocol.Ok_reply _) -> ()
           | _ -> Alcotest.fail "blocker must get its reply"))
 
+(* The sessions' live-maintenance counters are exported as server-wide
+   totals, and a closed connection's share stays in them: the gauges
+   never go backwards when a client leaves. *)
+let test_e2e_live_totals_survive_close () =
+  with_server (fun port _report_of ->
+      let a = Net.Client.connect ~port () in
+      List.iter
+        (fun stmt -> ignore (expect_ok (Net.Client.request a stmt)))
+        [
+          "CREATE VIEW hc AS SELECT COUNT(*) FROM Employed";
+          "INSERT INTO Employed VALUES ('Zoe', 1) DURING [2,4]";
+        ];
+      (* BYE is written before the server closes the connection, and the
+         close happens in the same step as that write. *)
+      (match Net.Client.request a "QUIT" with
+      | Ok Net.Protocol.Bye -> ()
+      | _ -> Alcotest.fail "QUIT must answer BYE");
+      Net.Client.close a;
+      let b = Net.Client.connect ~port () in
+      Fun.protect ~finally:(fun () -> Net.Client.close b) (fun () ->
+          let _, payload = expect_ok (Net.Client.request b "METRICS") in
+          (* Four Employed tuples loaded into the view, then one insert. *)
+          Alcotest.(check bool) "closed connection still counted" true
+            (List.mem "tempagg_live_inserts 5" payload)))
+
 let test_e2e_report_render () =
   with_server (fun port report_of ->
       let c = Net.Client.connect ~port () in
@@ -611,5 +636,7 @@ let () =
           Alcotest.test_case "shed request pinned" `Quick
             test_e2e_shed_request_pinned;
           Alcotest.test_case "report renders" `Quick test_e2e_report_render;
+          Alcotest.test_case "live totals survive a closed connection" `Quick
+            test_e2e_live_totals_survive_close;
         ] );
     ]

@@ -895,42 +895,35 @@ let test_explain_analyze () =
   | Ok _ -> Alcotest.fail "EXPLAIN ANALYZE on a view should fail"
   | Error msg -> check_contains "view error" msg "is a view"
 
+(* Inline METRICS over the stdin transport: the server's own families
+   plus the sessions' live-maintenance and partition totals. *)
 let test_serve_metrics () =
-  let s = Tsql.Session.create (Tsql.Catalog.with_builtins ()) in
-  let buf = Buffer.create 256 in
-  let script =
-    "SELECT COUNT(Name) FROM Employed; SELECT COUNT(Name) FROM Employed; \
-     EXPLAIN ANALYZE SELECT COUNT(Name) FROM Employed; SELECT nope FROM \
-     missing;"
-  in
-  match
-    Tsql.Serve.run_script ~out:(Buffer.add_string buf) ~metrics_every:2 s
-      script
-  with
-  | Error msg -> Alcotest.fail msg
-  | Ok report ->
-      Alcotest.(check int) "ops" 4 report.Tsql.Serve.total;
-      Alcotest.(check int) "errors" 1 report.Tsql.Serve.total_errors;
-      let ea = List.assoc "explain-analyze" report.Tsql.Serve.per_kind in
-      Alcotest.(check int) "explain-analyze counted" 1 ea.Tsql.Serve.ops;
-      let selects = List.assoc "select" report.Tsql.Serve.per_kind in
-      Alcotest.(check bool) "percentiles ordered" true
-        (selects.Tsql.Serve.p50_us <= selects.Tsql.Serve.p99_us
-        && selects.Tsql.Serve.p99_us <= selects.Tsql.Serve.max_us);
-      (* The periodic dump went through [out]... *)
-      let streamed = Buffer.contents buf in
-      check_contains "periodic dump" streamed
-        "-- metrics after 2 statement(s) --";
-      check_contains "latency histogram" streamed "tempagg_serve_latency_us";
-      (* ...and the report carries the registry for a final exposition. *)
-      let final = Obs.Metrics.expose report.Tsql.Serve.metrics in
-      check_contains "error counter" final
-        "tempagg_serve_errors_total{kind=\"select\"} 1";
-      check_contains "live gauges" final "tempagg_live_";
-      let text = Tsql.Serve.report_to_string report in
-      check_contains "report header" text "serve: 4 op(s)";
-      check_contains "report error count" text "(1 error(s))";
-      check_contains "report kind row" text "explain-analyze"
+  Cli_harness.with_tempdir (fun dir ->
+      let code, out =
+        Cli_harness.serve_stdin
+          ~args:[ "--data-dir"; Filename.concat dir "data" ]
+          "SELECT COUNT(Name) FROM Employed\n\
+           SELECT COUNT(Name) FROM Employed\n\
+           EXPLAIN ANALYZE SELECT COUNT(Name) FROM Employed\n\
+           SELECT nope FROM missing\n\
+           CREATE VIEW hc AS SELECT COUNT(*) FROM Employed\n\
+           INSERT INTO Employed VALUES ('Zoe', 1) DURING [2,4]\n\
+           CREATE TABLE p (v INT) PARTITION BY RANGE (vt) (100)\n\
+           SELECT COUNT(*) FROM p DURING [0,50]\n\
+           METRICS\n"
+      in
+      Alcotest.(check int) "exit 0" 0 code;
+      check_contains "latency histogram" out
+        "tempagg_net_latency_us_bucket{kind=\"select\"";
+      check_contains "error counter" out "tempagg_net_errors_total 1";
+      check_contains "live gauges" out "tempagg_live_inserts 5";
+      check_contains "partition gauges" out
+        "tempagg_partition_queries{relation=\"p\"} 1";
+      check_contains "pruning" out
+        "tempagg_partition_shards_pruned{relation=\"p\"} 1";
+      check_contains "report header" out "8 request(s)";
+      check_contains "report error count" out "1 error(s)";
+      check_contains "report kind row" out "explain-analyze")
 
 (* ------------------------------------------------------------------ *)
 (* Overhead                                                            *)

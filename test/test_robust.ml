@@ -481,10 +481,19 @@ let unsorted_catalog () =
     "Messy"
     (Trel.create schema tuples)
 
+(* Plan [q], then execute the plan: the one statement path. *)
+let execute ?deadline_ms cat q =
+  Result.bind (Tsql.Eval.prepare cat q) (Tsql.Eval.execute ?deadline_ms cat)
+
 let test_tsql_on_error_fallback () =
   let cat = unsorted_catalog () in
   let q = "SELECT COUNT(*) FROM Messy USING ktree(1) ON ERROR FALLBACK" in
-  match Tsql.Eval.query_robust cat q with
+  (* Eval.query carries no budget or override: the query's own policy
+     still applies. *)
+  (match Tsql.Eval.query cat q with
+  | Error msg -> Alcotest.fail ("query ignored ON ERROR FALLBACK: " ^ msg)
+  | Ok _ -> ());
+  match execute cat q with
   | Error msg -> Alcotest.fail msg
   | Ok report ->
       Alcotest.(check bool) "degradations reported" true
@@ -504,7 +513,7 @@ let test_tsql_on_error_fallback () =
 let test_tsql_using_hint_fails_loudly_by_default () =
   let cat = unsorted_catalog () in
   match
-    Tsql.Eval.query_robust cat "SELECT COUNT(*) FROM Messy USING ktree(1)"
+    execute cat "SELECT COUNT(*) FROM Messy USING ktree(1)"
   with
   | Ok _ -> Alcotest.fail "expected failure: USING defaults to fail"
   | Error msg ->
@@ -540,7 +549,7 @@ let test_tsql_deadline_overrides () =
       (Trel.create schema tuples)
   in
   let q = "SELECT COUNT(*) FROM Big USING sweep" in
-  match Tsql.Eval.query_robust ~deadline_ms:0.001 cat q with
+  match execute ~deadline_ms:0.001 cat q with
   | Ok _ -> Alcotest.fail "expected deadline error"
   | Error msg ->
       Alcotest.(check bool) "deadline rendered" true

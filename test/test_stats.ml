@@ -292,7 +292,7 @@ let test_slowlog_ring_and_worst () =
        ~elapsed_ms:20. ());
   ignore
     (Obs.Slowlog.observe log ~kind:"insert" ~statement:"slow2"
-       ~elapsed_ms:30. ~span_labels:[ "eval" ] ());
+       ~elapsed_ms:30. ~trace:"r0-3" ());
   Alcotest.(check int) "hits count evictions" 3 (Obs.Slowlog.hits log);
   Alcotest.(check (list string)) "ring keeps newest" [ "slow2"; "slow1" ]
     (List.map
@@ -310,44 +310,65 @@ let test_slowlog_ring_and_worst () =
       "\"threshold_ms\": 10";
       "\"hits\": 3";
       "\"statement\": \"slow2\"";
-      "\"spans\": [\"eval\"]";
-      "\"profile\": null";
+      "\"trace\": \"r0-3\"";
+      "\"join\": null";
     ]
 
+(* The server's slow-query log over the stdin transport: every entry
+   carries its request id, and TRACE DUMP with that id returns the span
+   tree the flight recorder pinned for the slow request. *)
 let test_serve_slowlog_capture () =
-  let s = Tsql.Session.create (Tsql.Catalog.with_builtins ()) in
-  let log = Obs.Slowlog.create ~threshold_ms:0. () in
-  let buf = Buffer.create 256 in
-  match
-    Tsql.Serve.run_script
-      ~out:(Buffer.add_string buf)
-      ~slowlog:log s
-      "SELECT COUNT(Name) FROM Employed;\n\
-       INSERT INTO Employed VALUES ('Zoe', 60000) DURING [12,18];\n\
-       SELECT MAX(Salary) FROM Employed;"
-  with
-  | Error e -> Alcotest.failf "serve failed: %s" e
-  | Ok report ->
-      Alcotest.(check int) "threshold 0 captures everything" 3
-        (Obs.Slowlog.hits log);
-      (* Slow SELECTs against base relations get re-profiled. *)
-      let selects =
-        List.filter
-          (fun e -> e.Obs.Slowlog.kind = "select")
-          (Obs.Slowlog.entries log)
+  Cli_harness.with_tempdir (fun dir ->
+      let json = Filename.concat dir "slow.json" in
+      let code, out =
+        Cli_harness.serve_stdin
+          ~args:[ "--slowlog-ms"; "0"; "--slowlog-out"; json ]
+          "SELECT COUNT(Name) FROM Employed\n\
+           INSERT INTO Employed VALUES ('Zoe', 60000) DURING [12,18]\n\
+           SELECT MAX(Salary) FROM Employed\n\
+           TRACE DUMP r0-0\n"
       in
-      Alcotest.(check int) "two selects" 2 (List.length selects);
+      Alcotest.(check int) "exit 0" 0 code;
+      check_contains "slowlog written" out "slowlog: wrote 3 entry(ies)";
+      check_contains "pinned span tree" out "\"name\":\"execute\"";
+      let log = In_channel.with_open_text json In_channel.input_all in
+      check_contains "threshold 0 captures everything" log "\"hits\": 3";
       List.iter
-        (fun e ->
-          match e.Obs.Slowlog.detail with
-          | Some text -> check_contains "profile attached" text "plan: "
-          | None -> Alcotest.fail "select entry lost its profile")
-        selects;
-      let text = Tsql.Serve.report_to_string report in
-      check_contains "report line" text "slowlog: 3 hit(s) at >= 0.0 ms";
-      check_contains "report names the worst" text "worst:";
-      check_contains "json round-trips" (Obs.Slowlog.to_json log)
-        "\"profile\": \"query:"
+        (fun id -> check_contains "trace id" log (Printf.sprintf "\"trace\": \"%s\"" id))
+        [ "r0-0"; "r0-1"; "r0-2" ];
+      check_contains "kind" log "\"kind\": \"insert\"")
+
+(* The planner's constant-interval estimate must not depend on which
+   aggregate ran first: MAX over a relation whose maximum spans the
+   whole timeline coalesces to a couple of rows, and recording that as
+   the relation's result size would send the next COUNT to the
+   quadratic linked list. *)
+let test_max_does_not_steer_count () =
+  let schema =
+    Relation.Schema.of_pairs [ ("salary", Relation.Value.Tint) ]
+  in
+  let tuple v a b =
+    Relation.Tuple.make [| Relation.Value.Int v |]
+      (Temporal.Interval.make (Temporal.Chronon.of_int a)
+         (Temporal.Chronon.of_int b))
+  in
+  let n = 10_000 in
+  let rel =
+    Relation.Trel.create schema
+      (tuple 1_000 0 (10 * n)
+      :: List.init (n - 1) (fun i ->
+             let a = i * 7919 mod (10 * n) in
+             tuple (i mod 100) a (a + 1 + (i mod 37))))
+  in
+  let s =
+    Tsql.Session.create (Tsql.Catalog.add (Tsql.Catalog.create ()) "R" rel)
+  in
+  ignore (exec s "SELECT MAX(salary) FROM R");
+  match Tsql.Eval.explain (Tsql.Session.catalog s) "SELECT COUNT(*) FROM R" with
+  | Error e -> Alcotest.fail e
+  | Ok plan ->
+      if contains plan "linked-list" then
+        Alcotest.failf "COUNT after MAX planned the linked list: %s" plan
 
 let () =
   Alcotest.run "stats"
@@ -379,6 +400,8 @@ let () =
             test_analyze_flips_the_plan;
           Alcotest.test_case "--no-adaptive sessions ignore stats" `Quick
             test_no_adaptive_session_ignores_stats;
+          Alcotest.test_case "MAX result size does not steer COUNT" `Quick
+            test_max_does_not_steer_count;
         ] );
       ( "slowlog",
         [

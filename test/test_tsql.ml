@@ -665,42 +665,41 @@ let test_show_trace_and_recorder () =
 (* Serve                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The stdin transport: a script runs as one connection of the server,
+   one statement per line. *)
 let test_serve_reports_latencies () =
-  let s = session () in
-  let sink = Buffer.create 256 in
-  match
-    Tsql.Serve.run_script ~echo:true
-      ~out:(Buffer.add_string sink)
-      s
-      "CREATE VIEW hc AS SELECT COUNT(*) FROM Employed;\n\
-       SELECT * FROM hc;\n\
-       INSERT INTO Employed VALUES ('Zoe', 1) DURING [2,4];\n\
-       SELECT * FROM hc;\n\
-       SELECT * FROM nonexistent;\n\
-       DROP VIEW hc"
-  with
-  | Error msg -> Alcotest.fail msg
-  | Ok report ->
-      Alcotest.(check int) "ops" 6 report.Tsql.Serve.total;
-      Alcotest.(check int) "one error" 1 report.Tsql.Serve.total_errors;
-      let selects = List.assoc "select" report.Tsql.Serve.per_kind in
-      Alcotest.(check int) "selects" 3 selects.Tsql.Serve.ops;
-      Alcotest.(check int) "select errors" 1 selects.Tsql.Serve.errors;
-      Alcotest.(check bool)
-        "percentiles ordered" true
-        (selects.Tsql.Serve.p50_us <= selects.Tsql.Serve.p99_us
-        && selects.Tsql.Serve.p99_us <= selects.Tsql.Serve.max_us);
-      let text = Tsql.Serve.report_to_string report in
-      Alcotest.(check bool) "report mentions kinds" true
-        (contains text "create-view" && contains text "p99-us");
-      Alcotest.(check bool) "echo shows error" true
-        (contains (Buffer.contents sink) "error:")
+  let code, out =
+    Cli_harness.serve_stdin
+      "CREATE VIEW hc AS SELECT COUNT(*) FROM Employed\n\
+       SELECT * FROM hc\n\
+       INSERT INTO Employed VALUES ('Zoe', 1) DURING [2,4]\n\
+       SELECT * FROM hc\n\
+       SELECT * FROM nonexistent\n\
+       DROP VIEW hc\n"
+  in
+  Alcotest.(check int) "exit 0" 0 code;
+  Alcotest.(check bool) "ops and errors in the header" true
+    (contains out "6 request(s)" && contains out "1 error(s)");
+  Alcotest.(check bool) "the failed SELECT answered with ERR" true
+    (contains out "ERR unknown relation");
+  (match Cli_harness.kind_row out "select" with
+  | Some [ _; ops; _mean; p50; _p90; p99; max ] ->
+      Alcotest.(check string) "selects" "3" ops;
+      let f = float_of_string in
+      Alcotest.(check bool) "percentiles ordered" true
+        (f p50 <= f p99 && f p99 <= f max)
+  | _ -> Alcotest.fail ("no select row in " ^ out));
+  Alcotest.(check bool) "report mentions kinds" true
+    (contains out "create-view" && contains out "p99-us")
 
 let test_serve_parse_error () =
-  let s = session () in
-  Alcotest.(check bool)
-    "bad script is an Error" true
-    (Result.is_error (Tsql.Serve.run_script s "SELECT FROM ;"))
+  let code, out =
+    Cli_harness.serve_stdin "SELECT FROM ;\nSELECT COUNT(*) FROM Employed\n"
+  in
+  Alcotest.(check int) "a bad line does not stop the script" 0 code;
+  Alcotest.(check bool) "bad line answered with ERR" true (contains out "ERR ");
+  Alcotest.(check bool) "next line still served" true
+    (contains out "2 request(s)" && contains out "1 error(s)")
 
 let quick name f = Alcotest.test_case name `Quick f
 
