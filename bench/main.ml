@@ -12,9 +12,9 @@
    sweep live optimizer guard obs adaptive ablation_balanced
    ablation_span ablation_unique ablation_paged ablation_pagerand
    storage_io shard join net selfmon micro.  The obs section also writes BENCH_trace.json
-   (Chrome trace_event, loads in Perfetto) and BENCH_metrics.txt
-   (Prometheus exposition) next to the --json output when one is
-   requested.
+   (Chrome trace_event, loads in Perfetto) and BENCH_profile.txt
+   (an EXPLAIN-ANALYZE profile report) next to the --json output when
+   one is requested.
 
    --smoke shrinks every size for CI (seconds, not minutes); --json PATH
    writes every measured point, plus run-identity metadata (git sha,
@@ -1182,8 +1182,8 @@ let guard_bench cfg =
 
 (* Writes the observability artifacts next to the --json output: an
    armed Chrome trace of a Parallel sweep (BENCH_trace.json — load it
-   in about://tracing or Perfetto, one row per domain) and a Prometheus
-   exposition of a profiled run (BENCH_metrics.txt). *)
+   in about://tracing or Perfetto, one row per domain) and the profile
+   report of a robust run (BENCH_profile.txt). *)
 let write_obs_artifacts cfg =
   match cfg.json with
   | None -> ()
@@ -1205,21 +1205,15 @@ let write_obs_artifacts cfg =
           output_string oc (Obs.Trace.export_chrome ()));
       Printf.printf "(trace written to %s: %d spans)\n" trace_path
         (List.length (Obs.Trace.spans ()));
-      (* Metrics: a profiled robust run folded into a registry. *)
-      let registry = Obs.Metrics.create () in
+      (* Profile: the report of one robust run, attempts and memory. *)
       let profile = Obs.Profile.create () in
-      (match
-         Tempagg.Engine.eval_robust ~profile Tempagg.Engine.Sweep
-           Tempagg.Monoid.count (count_data random)
-       with
-      | Ok (_, degradations) ->
-          Tempagg.Engine.degradations_to_metrics registry degradations
-      | Error _ -> ());
-      Obs.Profile.to_metrics registry profile;
-      let metrics_path = Filename.concat dir "BENCH_metrics.txt" in
-      Out_channel.with_open_text metrics_path (fun oc ->
-          output_string oc (Obs.Metrics.expose registry));
-      Printf.printf "(metrics written to %s)\n" metrics_path
+      ignore
+        (Tempagg.Engine.eval_robust ~profile Tempagg.Engine.Sweep
+           Tempagg.Monoid.count (count_data random));
+      let profile_path = Filename.concat dir "BENCH_profile.txt" in
+      Out_channel.with_open_text profile_path (fun oc ->
+          output_string oc (Obs.Profile.to_string profile));
+      Printf.printf "(profile written to %s)\n" profile_path
 
 (* Tracing must cost nothing when off: an instrumented hot path —
    [Engine.eval] over the sweep — checks two atomic flags and otherwise
@@ -2293,7 +2287,7 @@ let selfmon_bench cfg =
   let mean_s = !total /. float_of_int measured in
   let m_rows, r_rows = Selfmon.Scrape.row_counts scraper in
   (* What querying the self-relations costs once history is at steady
-     state — the price a SHOW SLO evaluation or an operator's ad-hoc
+     state — the price an SLO evaluation or an operator's ad-hoc
      AVG pays. *)
   let catalog = Selfmon.Scrape.catalog scraper in
   let query_cost q =

@@ -210,15 +210,6 @@ let trace_arg =
            — load it in about://tracing or Perfetto.  Parallel plans get \
            one span per shard.")
 
-let metrics_arg =
-  Arg.(
-    value & flag
-    & info [ "metrics" ]
-        ~doc:
-          "After the run, print a Prometheus-style metrics exposition \
-           (I/O counters, degradations, and profile gauges with \
-           $(b,--profile)) on stdout.")
-
 let profile_arg =
   Arg.(
     value & flag
@@ -227,8 +218,8 @@ let profile_arg =
           "Run the query with an EXPLAIN-ANALYZE profile: algorithm and \
            rationale, k estimate, every evaluation attempt with its node \
            allocations and peak bytes (aborted fallback attempts \
-           included), phase timings and output size.  Printed after the \
-           result.  Query command only.")
+           included), phase timings, the catalog load's page I/O and \
+           output size.  Printed after the result.  Query command only.")
 
 let no_adaptive_arg =
   Arg.(
@@ -240,7 +231,7 @@ let no_adaptive_arg =
            Outcomes are still recorded for later adaptive runs.")
 
 let exec kind bindings algorithm domains on_error join_strategy memory_budget
-    deadline_ms faults trace metrics profile no_adaptive q =
+    deadline_ms faults trace profile no_adaptive q =
   let adaptive = not no_adaptive in
   let parsed_algorithm =
     match algorithm with
@@ -276,15 +267,6 @@ let exec kind bindings algorithm domains on_error join_strategy memory_budget
             output_string oc (Obs.Trace.to_chrome_json spans));
         Printf.eprintf "trace: wrote %d span(s) to %s\n%!" (List.length spans)
           path
-  in
-  let print_metrics ?profile_report degradations =
-    if metrics then begin
-      let registry = Obs.Metrics.create () in
-      Storage.Io_stats.to_metrics registry io_stats;
-      Tempagg.Engine.degradations_to_metrics registry degradations;
-      Option.iter (Obs.Profile.to_metrics registry) profile_report;
-      print_string (Obs.Metrics.expose registry)
-    end
   in
   let print_degradations =
     List.iter (fun d ->
@@ -333,12 +315,17 @@ let exec kind bindings algorithm domains on_error join_strategy memory_budget
   | Ok (`Run ({ Tsql.Eval.result; degradations }, profile)) ->
       Tsql.Pretty.print_result result;
       print_degradations degradations;
-      Option.iter (fun p -> print_string (Obs.Profile.to_string p)) profile;
-      print_metrics ?profile_report:profile degradations;
+      Option.iter
+        (fun p ->
+          let io = Storage.Io_stats.snapshot io_stats in
+          Obs.Profile.set_io p ~pages_read:io.pages_read
+            ~pages_written:io.pages_written ~retries:io.retries
+            ~corrupt_pages:io.corrupt_pages;
+          print_string (Obs.Profile.to_string p))
+        profile;
       `Ok ()
   | Ok (`Text text) ->
       print_endline text;
-      print_metrics [];
       `Ok ()
   | Error msg -> `Error (false, msg)
 
@@ -350,7 +337,7 @@ let query_cmd =
       ret
         (const (exec `Run) $ relations_arg $ algorithm_arg $ domains_arg
        $ on_error_arg $ join_strategy_arg $ memory_budget_arg $ deadline_arg
-       $ faults_arg $ trace_arg $ metrics_arg $ profile_arg $ no_adaptive_arg
+       $ faults_arg $ trace_arg $ profile_arg $ no_adaptive_arg
        $ query_arg))
 
 let explain_cmd =
@@ -361,7 +348,7 @@ let explain_cmd =
       ret
         (const (exec `Explain) $ relations_arg $ algorithm_arg $ domains_arg
        $ on_error_arg $ join_strategy_arg $ memory_budget_arg $ deadline_arg
-       $ faults_arg $ trace_arg $ metrics_arg $ profile_arg $ no_adaptive_arg
+       $ faults_arg $ trace_arg $ profile_arg $ no_adaptive_arg
        $ query_arg))
 
 (* generate *)
@@ -905,8 +892,8 @@ let serve_cmd =
              not given) by compiling each objective to TSQL over the \
              self-relations, with multi-window burn rates: both windows \
              burning is a breach, one a warning.  Verdicts feed the \
-             tempagg_slo_* metrics, the $(b,SLO) verb / $(b,SHOW SLO) \
-             statement, and the final report's alert lines.")
+             tempagg_slo_* metrics, the $(b,SLO) verb and the final \
+             report's alert lines.")
   in
   Cmd.v (Cmd.info "serve" ~doc ~man)
     Term.(
@@ -972,12 +959,13 @@ let client connect script strict quiet trace_ids =
                        client-chosen request id (c<pid>-<n>) so its
                        flight-recorder trace can be pulled later with
                        TRACE DUMP <id>.  Control verbs (PING, QUIT,
-                       METRICS, TRACE DUMP) are answered on the event
+                       METRICS, SLO, TRACE DUMP) are answered on the event
                        loop without a request id and stay untagged. *)
                     let control =
                       let upper = String.uppercase_ascii line in
                       upper = "QUIT" || upper = "PING"
                       || Net.Protocol.metrics_request line
+                      || Net.Protocol.slo_request line
                       || Net.Protocol.trace_dump_request line <> None
                     in
                     let trace =

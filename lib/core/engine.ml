@@ -174,16 +174,6 @@ type error =
   | Deadline_exhausted of { deadline_ms : float; elapsed_ms : float }
   | Eval_failed of string
 
-let degradations_to_metrics registry ds =
-  List.iter
-    (fun { stage; _ } ->
-      Obs.Metrics.inc
-        (Obs.Metrics.counter registry
-           ~help:"Recovery events taken by robust evaluation, by failed stage"
-           ~labels:[ ("stage", stage) ]
-           "tempagg_degradations_total"))
-    ds
-
 let error_to_string = function
   | Not_k_ordered { position } ->
       Printf.sprintf

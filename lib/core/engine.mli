@@ -97,10 +97,6 @@ type degradation = { stage : string; reason : string; action : string }
 
 val degradation_to_string : degradation -> string
 
-val degradations_to_metrics : Obs.Metrics.t -> degradation list -> unit
-(** Count each degradation into the [tempagg_degradations_total] counter,
-    labelled by the stage that failed. *)
-
 type error =
   | Not_k_ordered of { position : int }
   | Budget_exhausted of { budget_bytes : int; used_bytes : int }

@@ -54,12 +54,3 @@ let absorb (t : t) (s : snapshot) =
 let pp_snapshot ppf s =
   Format.fprintf ppf "allocated=%d peak_live=%d peak_bytes=%d" s.allocated
     s.peak_live s.peak_bytes
-
-let snapshot_to_metrics ?(name = "tempagg_engine") registry (s : snapshot) =
-  let g suffix help v =
-    Obs.Metrics.set_int (Obs.Metrics.gauge registry ~help (name ^ suffix)) v
-  in
-  g "_allocated_nodes" "Nodes allocated by the evaluation" s.allocated;
-  g "_peak_live_nodes" "High-water mark of live nodes" s.peak_live;
-  g "_node_bytes" "Per-node byte cost (paper Section 6.2)" s.node_bytes;
-  g "_peak_bytes" "Peak node memory in bytes" s.peak_bytes

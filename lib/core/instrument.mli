@@ -60,8 +60,3 @@ val absorb : t -> snapshot -> unit
     children's states were live at the same time). *)
 
 val pp_snapshot : Format.formatter -> snapshot -> unit
-
-val snapshot_to_metrics : ?name:string -> Obs.Metrics.t -> snapshot -> unit
-(** Fold a snapshot into registry gauges [<name>_allocated_nodes],
-    [<name>_peak_live_nodes], [<name>_node_bytes] and [<name>_peak_bytes]
-    ([name] defaults to ["tempagg_engine"]). *)

@@ -1,7 +1,7 @@
 (* Process-wide join counters, Atomic because joins run inside the
-   TCP server's session domains.  [to_metrics] refreshes gauges in a
-   registry on demand (the server's metrics refresh), mirroring how
-   partition pruning totals are exposed. *)
+   TCP server's session domains.  [to_metrics] sets gauges in a
+   registry; the server registers it as one of the registry's sources,
+   like the partition pruning totals. *)
 
 let sweep_joins = Atomic.make 0
 let nested_joins = Atomic.make 0

@@ -91,6 +91,7 @@ type job = {
 (* A worker's finished reply, travelling back to the event loop. *)
 type completion = {
   c_conn : int;
+  c_session : Tsql.Session.t;
   c_reply : Protocol.reply;
   c_kind : string;
   c_statement : string;
@@ -145,12 +146,7 @@ type t = {
   dump_requested : bool Atomic.t;  (* SIGUSR1 asked for a recorder dump *)
   scraper : Selfmon.Scrape.t option;
   mutable started_us : int;  (* set by [run]; feeds the uptime gauge *)
-  mutable metrics_text : string;
-      (* Cached exposition for worker-side SHOW METRICS.  Workers read
-         these two fields without a lock: a string-field read is a
-         single atomic load, so they see some complete recent text,
-         refreshed on the event loop. *)
-  mutable slo_text : string;  (* cached SHOW SLO / SLO-verb body *)
+  mutable slo_text : string;  (* SLO-verb body, rebuilt per scrape tick *)
   mutable slo_report : Obs.Slo.report option;  (* latest evaluation *)
   retired_live : Live.Stats.t;
   mutable retired_parts : (string * part_counts) list;
@@ -159,64 +155,6 @@ type t = {
 }
 
 let max_line_bytes = 65_536
-
-let create ?(config = default_config) catalog =
-  let listen_fd, bound_port =
-    match config.transport with
-    | Stdio -> (None, None)
-    | Tcp port ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.setsockopt fd Unix.SO_REUSEADDR true;
-        Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_any, port));
-        Unix.listen fd 128;
-        Unix.set_nonblock fd;
-        let bound =
-          match Unix.getsockname fd with
-          | Unix.ADDR_INET (_, p) -> p
-          | _ -> port
-        in
-        (Some fd, Some bound)
-  in
-  let wake_r, wake_w = Unix.pipe () in
-  Unix.set_nonblock wake_r;
-  Unix.set_nonblock wake_w;
-  let registry = Obs.Metrics.create () in
-  {
-    cfg = config;
-    catalog;
-    listen_fd;
-    bound_port;
-    admission =
-      Admission.create ?degrade_watermark:config.degrade_watermark
-        ~workers:config.domains ~queue_depth:config.queue_depth ();
-    stop_requested = Atomic.make false;
-    wake_r;
-    wake_w;
-    comp_mutex = Mutex.create ();
-    completions = [];
-    conns = Hashtbl.create 64;
-    next_conn_id = 0;
-    registry;
-    dump_requested = Atomic.make false;
-    scraper =
-      (match config.scrape_every_ms with
-      | None -> None
-      | Some ms ->
-          let base =
-            Option.value config.scrape_config
-              ~default:Selfmon.Scrape.default_config
-          in
-          Some
-            (Selfmon.Scrape.create
-               ~config:{ base with Selfmon.Scrape.tick_us = ms * 1000 }
-               registry));
-    started_us = Obs.Trace.now_us ();
-    metrics_text = "";
-    slo_text = "no SLO objectives configured (serve with --slo FILE)";
-    slo_report = None;
-    retired_live = Live.Stats.create ();
-    retired_parts = [];
-  }
 
 let port t = t.bound_port
 
@@ -320,11 +258,10 @@ let session_totals t =
   (live, parts)
 
 (* The tempagg_live_* totals and per-relation tempagg_partition_*
-   gauges, plus the process-wide join counters. *)
-let refresh_session_metrics t =
+   gauges. *)
+let set_session_metrics t =
   let live, parts = session_totals t in
   Live.Stats.to_metrics t.registry live;
-  Join.Telemetry.to_metrics t.registry;
   List.iter
     (fun (relation, c) ->
       let set metric help v =
@@ -349,33 +286,94 @@ let refresh_session_metrics t =
          else float_of_int c.pruned /. float_of_int (c.scanned + c.pruned)))
     parts
 
-let refresh_admission_gauges t =
-  Obs.Metrics.set_int (m_queued t) (Admission.queued t.admission);
-  Obs.Metrics.set_int (m_inflight t) (Admission.in_flight t.admission)
-
-(* Everything a scrape should see beyond the live counters: binary
-   identity, uptime, and flight-recorder pressure. *)
-let refresh_scrape_metrics t =
-  refresh_admission_gauges t;
-  refresh_session_metrics t;
-  Obs.Metrics.set
-    (gauge t "tempagg_uptime_seconds"
-       "Seconds since the server started (monotonic clock)")
-    (float_of_int (Obs.Trace.now_us () - t.started_us) /. 1e6);
-  Obs.Build_info.to_metrics t.registry;
-  Obs.Recorder.to_metrics t.registry
+let create ?(config = default_config) catalog =
+  let listen_fd, bound_port =
+    match config.transport with
+    | Stdio -> (None, None)
+    | Tcp port ->
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.setsockopt fd Unix.SO_REUSEADDR true;
+        Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_any, port));
+        Unix.listen fd 128;
+        Unix.set_nonblock fd;
+        let bound =
+          match Unix.getsockname fd with
+          | Unix.ADDR_INET (_, p) -> p
+          | _ -> port
+        in
+        (Some fd, Some bound)
+  in
+  let wake_r, wake_w = Unix.pipe () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
+  let registry = Obs.Metrics.create () in
+  let t =
+    {
+      cfg = config;
+      catalog;
+      listen_fd;
+      bound_port;
+      admission =
+        Admission.create ?degrade_watermark:config.degrade_watermark
+          ~workers:config.domains ~queue_depth:config.queue_depth ();
+      stop_requested = Atomic.make false;
+      wake_r;
+      wake_w;
+      comp_mutex = Mutex.create ();
+      completions = [];
+      conns = Hashtbl.create 64;
+      next_conn_id = 0;
+      registry;
+      dump_requested = Atomic.make false;
+      scraper =
+        (match config.scrape_every_ms with
+        | None -> None
+        | Some ms ->
+            let base =
+              Option.value config.scrape_config
+                ~default:Selfmon.Scrape.default_config
+            in
+            Some
+              (Selfmon.Scrape.create
+                 ~config:{ base with Selfmon.Scrape.tick_us = ms * 1000 }
+                 registry));
+      started_us = Obs.Trace.now_us ();
+      slo_text = "no SLO objectives configured (serve with --slo FILE)";
+      slo_report = None;
+      retired_live = Live.Stats.create ();
+      retired_parts = [];
+    }
+  in
+  (* What the registry reads from elsewhere on every exposition, scrape
+     tick and report: admission depth, session totals, join counters,
+     recorder pressure, binary identity and uptime.  Every read of the
+     registry happens on the event loop (or after the workers are
+     joined), where re-reading a session cannot race a worker. *)
+  let source = Obs.Metrics.source registry in
+  source (fun () ->
+      Obs.Metrics.set_int (m_queued t) (Admission.queued t.admission);
+      Obs.Metrics.set_int (m_inflight t) (Admission.in_flight t.admission));
+  source (fun () -> set_session_metrics t);
+  List.iter
+    (fun to_metrics -> source (fun () -> to_metrics registry))
+    [ Join.Telemetry.to_metrics; Obs.Recorder.to_metrics;
+      Obs.Build_info.to_metrics ];
+  source (fun () ->
+      Obs.Metrics.set
+        (gauge t "tempagg_uptime_seconds"
+           "Seconds since the server started serving")
+        (float_of_int (Obs.Trace.now_us () - t.started_us) /. 1e6));
+  t
 
 (* ---- self-scraping and SLO evaluation (event loop only) ---- *)
 
-(* One scrape tick: refresh the derived gauges, sample the registry into
-   the self-relations, then re-evaluate the objectives against them —
-   through the engine itself, so the SLO verdicts exercise the same
-   aggregation path the verdicts are about.  Also the point where the
-   worker-visible introspection strings are rebuilt. *)
+(* One scrape tick: sample the registry into the self-relations, then
+   re-evaluate the objectives against them — through the engine itself,
+   so the SLO verdicts exercise the same aggregation path the verdicts
+   are about.  Also where the SLO verb's report text is rebuilt. *)
 let scrape_tick t scraper ~now =
-  refresh_scrape_metrics t;
   Selfmon.Scrape.scrape ~now_us:now scraper;
-  (match t.cfg.slo with
+  match t.cfg.slo with
   | [] -> ()
   | objectives -> (
       match Selfmon.Monitor.evaluate ~now_us:now scraper objectives with
@@ -383,8 +381,7 @@ let scrape_tick t scraper ~now =
           Obs.Slo.to_metrics t.registry report;
           t.slo_report <- Some report;
           t.slo_text <- Obs.Slo.report_to_string report
-      | Error msg -> t.slo_text <- "SLO evaluation failed: " ^ msg));
-  t.metrics_text <- Obs.Metrics.expose t.registry
+      | Error msg -> t.slo_text <- "SLO evaluation failed: " ^ msg)
 
 (* Bring one connection's self-relations up to the scraper's current
    version.  Called on the event loop while no worker owns the session
@@ -495,6 +492,7 @@ let execute t job =
   in
   {
     c_conn = job.j_conn;
+    c_session = job.j_session;
     c_reply = reply;
     c_kind = kind;
     c_statement = job.j_line;
@@ -542,10 +540,6 @@ let new_session t id =
     (fun (name, dir) ->
       Tsql.Session.add_partition session name (Storage.Partition.load dir))
     t.cfg.partitions;
-  Tsql.Session.set_introspection
-    ~metrics:(fun () -> t.metrics_text)
-    ~slo:(fun () -> t.slo_text)
-    session;
   session
 
 let add_conn t ~tcp ~fd ~wfd =
@@ -585,6 +579,9 @@ let close_conn t conn =
     t.retired_parts <- merge_parts t.retired_parts conn.c_parts;
     Hashtbl.remove t.conns conn.c_id;
     Obs.Metrics.set_int (m_active t) (Hashtbl.length t.conns);
+    (* A session a worker still runs is closed when its completion
+       arrives instead. *)
+    if not conn.c_outstanding then Tsql.Session.close conn.c_session;
     if conn.c_tcp then try Unix.close conn.c_fd with Unix.Unix_error _ -> ()
   end
 
@@ -695,7 +692,6 @@ let rec dispatch t conn =
         else if Protocol.metrics_request line then begin
           (* Prometheus exposition inline, like PING: a scrape must work
              even when every worker is busy. *)
-          refresh_scrape_metrics t;
           let payload =
             List.filter
               (fun l -> l <> "")
@@ -802,7 +798,9 @@ let handle_completions t =
     (fun c ->
       observe_completion t c;
       match Hashtbl.find_opt t.conns c.c_conn with
-      | None -> ()  (* connection died while the worker ran *)
+      | None ->
+          (* The connection died while the worker ran. *)
+          Tsql.Session.close c.c_session
       | Some conn ->
           conn.c_outstanding <- false;
           send conn (Protocol.encode c.c_reply);
@@ -941,11 +939,9 @@ let run ?(signals = false) t =
   ignore (m_timed_out t);
   ignore (m_errors t);
   ignore (m_degraded t);
-  refresh_scrape_metrics t;
   (* The first scrape only records the delta baseline; intervals start
      accruing from server start, not from the first later tick. *)
   Option.iter (fun s -> scrape_tick t s ~now:started_us) t.scraper;
-  t.metrics_text <- Obs.Metrics.expose t.registry;
   let workers =
     Array.init t.cfg.domains (fun _ -> Domain.spawn (worker_loop t))
   in
@@ -980,7 +976,6 @@ let run ?(signals = false) t =
   in
   let rec loop () =
     handle_completions t;
-    refresh_admission_gauges t;
     Option.iter
       (fun s ->
         let now = now_us () in
@@ -1101,7 +1096,6 @@ let run ?(signals = false) t =
   Admission.stop t.admission;
   Array.iter Domain.join workers;
   handle_completions t;
-  refresh_scrape_metrics t;
   (* A configured dump path gets a final dump at exit, so a drained
      server leaves its retained traces behind for post-mortems. *)
   (match t.cfg.recorder_out with

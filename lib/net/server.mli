@@ -107,8 +107,8 @@ type config = {
   slo : Obs.Slo.objective list;
       (** Objectives re-evaluated on every scrape tick by running their
           compiled TSQL against the self-relations.  Verdicts feed the
-          [tempagg_slo_*] metrics, the [SLO] verb / [SHOW SLO]
-          statement, and the report's {!report.slo_summary}. *)
+          [tempagg_slo_*] metrics, the [SLO] verb and the report's
+          {!report.slo_summary}. *)
 }
 
 val default_config : config

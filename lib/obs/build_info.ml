@@ -1,8 +1,8 @@
 (* Binary identity for scrapes: a constant build_info gauge (value 1,
-   identity in the labels, the Prometheus convention) plus process
-   uptime, so a dashboard can tell which binary answered and since
-   when.  The version string matches the CLI's [Cmd.info ~version];
-   packaging can override it via TEMPAGG_VERSION without rebuilding. *)
+   identity in the labels, the Prometheus convention), so a dashboard
+   can tell which binary answered.  The version string matches the
+   CLI's [Cmd.info ~version]; packaging can override it via
+   TEMPAGG_VERSION without rebuilding. *)
 
 let default_version = "1.0.0"
 
@@ -11,20 +11,10 @@ let version =
   | Some v when v <> "" -> v
   | _ -> default_version
 
-(* Module initialization time; close enough to process start for an
-   uptime gauge. *)
-let started_us = Trace.now_us ()
-
-let uptime_seconds () = float_of_int (Trace.now_us () - started_us) /. 1e6
-
 let to_metrics m =
   Metrics.set_int
     (Metrics.gauge m
        ~help:"Build identity; the version is in the labels"
        ~labels:[ ("version", version) ]
        "tempagg_build_info")
-    1;
-  Metrics.set
-    (Metrics.gauge m ~help:"Seconds since process start"
-       "tempagg_uptime_seconds")
-    (uptime_seconds ())
+    1

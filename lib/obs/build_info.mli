@@ -4,10 +4,6 @@ val version : string
 (** The advertised version: [TEMPAGG_VERSION] from the environment when
     set, else the built-in release version. *)
 
-val uptime_seconds : unit -> float
-(** Seconds since this module initialized (process start for practical
-    purposes). *)
-
 val to_metrics : Metrics.t -> unit
-(** Refresh [tempagg_build_info{version=...} 1] and
-    [tempagg_uptime_seconds] in [m].  Idempotent; call per scrape. *)
+(** Set [tempagg_build_info{version=...} 1] in [m].  Idempotent; the
+    server registers it as a {!Metrics.source}. *)

@@ -2,11 +2,13 @@
    with a Prometheus-style text exposition.
 
    A metric is identified by (name, labels); registering the same pair
-   twice returns the same underlying cell, so adapter functions can be
-   re-run to refresh gauge values.  The exposition sorts metrics by name
-   then labels, prints integral values without a decimal point, and
-   renders histograms as cumulative _bucket/_sum/_count series — all so
-   the output is stable enough for a golden test. *)
+   twice returns the same underlying cell.  Values held elsewhere (queue
+   depths, session totals, recorder pressure) come in through sources:
+   callbacks registered once and run at the start of every read, so no
+   reader has to refresh anything first.  The exposition sorts metrics
+   by name then labels, prints integral values without a decimal point,
+   and renders histograms as cumulative _bucket/_sum/_count series — all
+   so the output is stable enough for a golden test. *)
 
 type kind = Counter | Gauge | Histogram
 
@@ -20,11 +22,17 @@ type metric = {
   cell : cell;
 }
 
-type t = { tbl : (string * (string * string) list, metric) Hashtbl.t }
+type t = {
+  tbl : (string * (string * string) list, metric) Hashtbl.t;
+  mutable sources : (unit -> unit) list;  (* in registration order *)
+}
+
 type counter = cell
 type gauge = cell
 
-let create () = { tbl = Hashtbl.create 32 }
+let create () = { tbl = Hashtbl.create 32; sources = [] }
+let source t f = t.sources <- t.sources @ [ f ]
+let run_sources t = List.iter (fun f -> f ()) t.sources
 
 let kind_name = function
   | Counter -> "counter"
@@ -119,6 +127,7 @@ let sorted_metrics t =
          | c -> c)
 
 let samples t =
+  run_sources t;
   List.map
     (fun m ->
       match m.cell.hist with
@@ -175,6 +184,7 @@ let label_string labels =
       ^ "}"
 
 let expose t =
+  run_sources t;
   let metrics = sorted_metrics t in
   let buf = Buffer.create 1024 in
   (* # HELP / # TYPE are per metric family: emitted once per name, even

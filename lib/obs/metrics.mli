@@ -2,10 +2,10 @@
     Prometheus-style text exposition.
 
     Metrics are identified by (name, label set); re-registering an
-    existing pair returns the same cell, so adapters that fold external
-    stats into the registry can run repeatedly to refresh values.
-    Registries are not thread-safe — mutate from one domain (spans are
-    the cross-domain instrument; see {!Trace}). *)
+    existing pair returns the same cell.  Values that live elsewhere
+    enter through {!source} callbacks, which every read runs first.
+    Registries are not thread-safe — mutate and read from one domain
+    (spans are the cross-domain instrument; see {!Trace}). *)
 
 type t
 type counter
@@ -30,6 +30,12 @@ val histogram :
   Histogram.t
 (** The returned histogram is live: observations made through it are
     visible to {!expose} as cumulative [_bucket]/[_sum]/[_count] series. *)
+
+val source : t -> (unit -> unit) -> unit
+(** Register a callback that sets this registry's metrics from state
+    held elsewhere.  Sources run in registration order at the start of
+    {!samples} and {!expose} (and so of {!write_file}), on the reading
+    domain, so every read sees fresh values without a refresh call. *)
 
 val inc : counter -> unit
 

@@ -174,29 +174,3 @@ let to_string t =
   Option.iter (fun n -> line "output: %d segment(s)" n) t.segments;
   Option.iter (fun ms -> line "total: %.3f ms" ms) t.total_ms;
   Buffer.contents buf
-
-let to_metrics registry t =
-  let g name help v =
-    Metrics.set_int (Metrics.gauge registry ~help name) v
-  in
-  g "tempagg_profile_allocated_nodes" "Nodes allocated across all attempts"
-    t.allocated_nodes;
-  g "tempagg_profile_peak_live_nodes" "Largest live node count of any attempt"
-    t.peak_live;
-  g "tempagg_profile_peak_bytes" "Peak node memory of any attempt in bytes"
-    t.peak_bytes;
-  g "tempagg_profile_attempts" "Evaluation attempts including aborted ones"
-    (List.length t.attempts_rev);
-  g "tempagg_profile_degradations" "Degradations taken by the fallback chain"
-    (List.length t.degradations_rev);
-  Option.iter (fun n -> g "tempagg_profile_segments" "Result segments emitted" n)
-    t.segments;
-  Option.iter (fun n -> g "tempagg_profile_input_tuples" "Input cardinality" n)
-    t.tuples;
-  Option.iter
-    (fun ms ->
-      Metrics.set
-        (Metrics.gauge registry ~help:"End-to-end query wall time"
-           "tempagg_profile_total_ms")
-        ms)
-    t.total_ms

@@ -90,6 +90,3 @@ val segments : t -> int option
 val to_string : t -> string
 (** Human-readable report.  The memory line is machine-parseable:
     [memory: allocated_nodes=%d peak_live=%d node_bytes=%d peak_bytes=%d]. *)
-
-val to_metrics : Metrics.t -> t -> unit
-(** Fold the profile into registry gauges ([tempagg_profile_*]). *)

@@ -91,23 +91,49 @@ type t = {
       (* (version, _metrics, _requests) — one materialization per change *)
 }
 
+(* Scrape's own instruments, a source of the registry it scrapes: every
+   tick records them like any other series. *)
+let set_own_gauges t =
+  let r = t.registry in
+  Obs.Metrics.set_int
+    (Obs.Metrics.gauge r ~help:"Scraped history rows by system relation"
+       ~labels:[ ("relation", metrics_name) ]
+       "tempagg_scrape_rows")
+    (List.length t.metrics_rows);
+  Obs.Metrics.set_int
+    (Obs.Metrics.gauge r ~help:"Scraped history rows by system relation"
+       ~labels:[ ("relation", requests_name) ]
+       "tempagg_scrape_rows")
+    (List.length t.requests_rows);
+  Obs.Metrics.set_int
+    (Obs.Metrics.gauge r ~help:"Scrape ticks taken" "tempagg_scrape_ticks")
+    t.ticks;
+  Obs.Metrics.set_int
+    (Obs.Metrics.gauge r ~help:"Downsampling compactions run"
+       "tempagg_scrape_compactions")
+    t.compactions
+
 let create ?(config = default_config) registry =
   if config.tick_us <= 0 then invalid_arg "Scrape.create: tick_us must be > 0";
   if config.compact_window_us <= 0 then
     invalid_arg "Scrape.create: compact_window_us must be > 0";
-  {
-    cfg = config;
-    registry;
-    prevs = Hashtbl.create 64;
-    last_us = None;
-    metrics_rows = [];
-    requests_rows = [];
-    compacted_until = 0;
-    version = 0;
-    ticks = 0;
-    compactions = 0;
-    cached = None;
-  }
+  let t =
+    {
+      cfg = config;
+      registry;
+      prevs = Hashtbl.create 64;
+      last_us = None;
+      metrics_rows = [];
+      requests_rows = [];
+      compacted_until = 0;
+      version = 0;
+      ticks = 0;
+      compactions = 0;
+      cached = None;
+    }
+  in
+  Obs.Metrics.source registry (fun () -> set_own_gauges t);
+  t
 
 let config t = t.cfg
 let version t = t.version
@@ -381,33 +407,10 @@ let enforce_bounds t ~now_us =
     t.cached <- None
   end
 
-(* Scrape's own instruments, folded into the registry it scrapes — the
-   next tick records them like any other series. *)
-let to_metrics t =
-  let r = t.registry in
-  Obs.Metrics.set_int
-    (Obs.Metrics.gauge r ~help:"Scraped history rows by system relation"
-       ~labels:[ ("relation", metrics_name) ]
-       "tempagg_scrape_rows")
-    (List.length t.metrics_rows);
-  Obs.Metrics.set_int
-    (Obs.Metrics.gauge r ~help:"Scraped history rows by system relation"
-       ~labels:[ ("relation", requests_name) ]
-       "tempagg_scrape_rows")
-    (List.length t.requests_rows);
-  Obs.Metrics.set_int
-    (Obs.Metrics.gauge r ~help:"Scrape ticks taken" "tempagg_scrape_ticks")
-    t.ticks;
-  Obs.Metrics.set_int
-    (Obs.Metrics.gauge r ~help:"Downsampling compactions run"
-       "tempagg_scrape_compactions")
-    t.compactions
-
 let scrape ?now_us t =
   let now = match now_us with Some n -> n | None -> Obs.Trace.now_us () in
   tick ~now_us:now t;
-  enforce_bounds t ~now_us:now;
-  to_metrics t
+  enforce_bounds t ~now_us:now
 
 let materialize t =
   match t.cached with

@@ -47,7 +47,11 @@ val requests_schema : Relation.Schema.t
 type t
 
 val create : ?config:config -> Obs.Metrics.t -> t
-(** @raise Invalid_argument if [tick_us] or [compact_window_us] is
+(** A scraper of [registry].  Its own gauges ([tempagg_scrape_rows],
+    [tempagg_scrape_ticks], [tempagg_scrape_compactions]) are registered
+    as a {!Obs.Metrics.source} of the same registry, so every tick
+    records them like any other series.
+    @raise Invalid_argument if [tick_us] or [compact_window_us] is
     not positive. *)
 
 val config : t -> config
@@ -55,8 +59,7 @@ val config : t -> config
 val scrape : ?now_us:int -> t -> unit
 (** One full tick at [now_us] (default {!Obs.Trace.now_us}): sample the
     registry, append interval tuples (the first tick only records the
-    delta baseline), enforce retention and downsampling, refresh the
-    scraper's own gauges in the registry. *)
+    delta baseline), then enforce retention and downsampling. *)
 
 val tick : ?now_us:int -> t -> unit
 (** Just the sampling step of {!scrape} (for tests that want history

@@ -73,12 +73,3 @@ let clear t =
   Hashtbl.reset t.table;
   t.hits <- 0;
   t.misses <- 0
-
-let to_metrics registry t =
-  let g name help v =
-    Obs.Metrics.set_int (Obs.Metrics.gauge registry ~help name) v
-  in
-  g "tempagg_buffer_pool_hits" "Page lookups served from the pool" t.hits;
-  g "tempagg_buffer_pool_misses" "Page lookups that reached the disk" t.misses;
-  g "tempagg_buffer_pool_pages" "Pages currently resident" (length t);
-  g "tempagg_buffer_pool_capacity" "Configured pool capacity" t.capacity

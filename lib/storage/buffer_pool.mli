@@ -39,7 +39,3 @@ val misses : t -> int
 (** Counters of {!find} outcomes. *)
 
 val clear : t -> unit
-
-val to_metrics : Obs.Metrics.t -> t -> unit
-(** Fold hit/miss/occupancy counters into [tempagg_buffer_pool_*]
-    registry gauges. *)

@@ -37,16 +37,6 @@ let snapshot t =
     corrupt_pages = t.corrupt_pages;
   }
 
-let to_metrics registry t =
-  let g name help v =
-    Obs.Metrics.set_int (Obs.Metrics.gauge registry ~help name) v
-  in
-  g "tempagg_io_pages_read" "Pages read (retried reads charged again)" t.reads;
-  g "tempagg_io_pages_written" "Pages written" t.writes;
-  g "tempagg_io_retries" "Page reads retried after a transient fault" t.retries;
-  g "tempagg_io_corrupt_pages" "Pages whose CRC trailer failed to verify"
-    t.corrupt_pages
-
 let pp_snapshot ppf s =
   Format.fprintf ppf "pages_read=%d pages_written=%d" s.pages_read
     s.pages_written;

@@ -43,9 +43,6 @@ type snapshot = {
 
 val snapshot : t -> snapshot
 
-val to_metrics : Obs.Metrics.t -> t -> unit
-(** Fold the current counters into [tempagg_io_*] registry gauges. *)
-
 val pp_snapshot : Format.formatter -> snapshot -> unit
 (** Prints reads/writes always; retries and corrupt pages only when
     non-zero (the happy path stays terse). *)

@@ -127,8 +127,6 @@ type statement =
   | Show_partitions
   | Show_trace
   | Show_recorder
-  | Show_metrics
-  | Show_slo
 
 let window_to_string { w_start; w_stop } =
   Printf.sprintf "[%d,%s]" w_start
@@ -144,8 +142,6 @@ let statement_to_string = function
   | Show_partitions -> "SHOW PARTITIONS"
   | Show_trace -> "SHOW TRACE"
   | Show_recorder -> "SHOW RECORDER"
-  | Show_metrics -> "SHOW METRICS"
-  | Show_slo -> "SHOW SLO"
   | Create_table { name; columns; boundaries } ->
       Printf.sprintf "CREATE TABLE %s (%s) PARTITION BY RANGE (vt)%s" name
         (String.concat ", "
@@ -193,5 +189,3 @@ let kind_of = function
   | Show_partitions -> "show-partitions"
   | Show_trace -> "show-trace"
   | Show_recorder -> "show-recorder"
-  | Show_metrics -> "show-metrics"
-  | Show_slo -> "show-slo"

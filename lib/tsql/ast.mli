@@ -134,12 +134,6 @@ type statement =
   | Show_recorder
       (** Print the flight recorder's retention state: ring pressure
           plus one line per pinned trace (id, reason, span count). *)
-  | Show_metrics
-      (** Print the host's metrics registry (Prometheus text
-          exposition) — the in-band twin of the METRICS protocol verb. *)
-  | Show_slo
-      (** Print the latest SLO burn-rate report (serve-mode hosts with
-          [--slo]; other sessions answer with a pointer at the flag). *)
 
 val agg_fun_to_string : agg_fun -> string
 val op_to_string : comparison_op -> string

@@ -192,14 +192,6 @@ let clip_tuple w t =
     (fun clipped -> Tuple.with_valid t clipped)
     (Interval.intersect (Tuple.valid t) w)
 
-(* Split the first [n] elements off a list. *)
-let rec take n acc rest =
-  if n = 0 then (List.rev acc, rest)
-  else
-    match rest with
-    | [] -> (List.rev acc, [])
-    | x :: tl -> take (n - 1) (x :: acc) tl
-
 (* The relation's tuples that pass [keep], clipped to the window, block
    by storage shard.  A partitioned relation's physical tuple list is
    its shards concatenated in order, so it is walked block by block: a
@@ -208,25 +200,35 @@ let rec take n acc rest =
    where partition pruning actually saves work.  An unpartitioned
    relation is one block. *)
 let windowed_blocks ~window ~keep ~layout relation =
-  let select block =
-    match window with
-    | None -> List.filter keep block
-    | Some w ->
-        List.filter_map (fun t -> if keep t then clip_tuple w t else None) block
+  let push acc t =
+    if not (keep t) then acc
+    else
+      match window with
+      | None -> t :: acc
+      | Some w -> (
+          match clip_tuple w t with Some c -> c :: acc | None -> acc)
+  in
+  (* A kept block's first [n] tuples are filtered and clipped in one
+     walk; a pruned shard's are skipped without allocating. *)
+  let rec select_block n acc tuples =
+    match tuples with
+    | t :: tl when n > 0 -> select_block (n - 1) (push acc t) tl
+    | _ -> (List.rev acc, tuples)
+  in
+  let rec skip n tuples =
+    match tuples with _ :: tl when n > 0 -> skip (n - 1) tl | _ -> tuples
   in
   match (layout : (Interval.t * int) list) with
-  | [] -> [ select (Trel.tuples relation) ]
+  | [] -> [ fst (select_block max_int [] (Trel.tuples relation)) ]
   | layout ->
       let rec split tuples = function
         | [] -> []
         | (span, count) :: rest ->
-            let block, tail = take count [] tuples in
-            (* Before the recursive call (constructor arguments evaluate
-               right to left), so each block copy dies young. *)
-            let kept =
+            let kept, tail =
               match window with
-              | Some w when not (Interval.overlaps span w) -> []
-              | _ -> select block
+              | Some w when not (Interval.overlaps span w) ->
+                  ([], skip count tuples)
+              | _ -> select_block count [] tuples
             in
             kept :: split tail rest
       in

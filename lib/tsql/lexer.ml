@@ -32,8 +32,6 @@ type token =
   | JOIN
   | TRACE
   | RECORDER
-  | METRICS
-  | SLO
   | IDENT of string
   | INT of int
   | FLOAT of float
@@ -88,8 +86,6 @@ let token_to_string = function
   | JOIN -> "JOIN"
   | TRACE -> "TRACE"
   | RECORDER -> "RECORDER"
-  | METRICS -> "METRICS"
-  | SLO -> "SLO"
   | IDENT s -> s
   | INT n -> string_of_int n
   | FLOAT f -> Printf.sprintf "%g" f
@@ -144,8 +140,6 @@ let keyword_of = function
   | "join" -> Some JOIN
   | "trace" -> Some TRACE
   | "recorder" -> Some RECORDER
-  | "metrics" -> Some METRICS
-  | "slo" -> Some SLO
   | _ -> None
 
 let is_ident_start = function

@@ -39,8 +39,6 @@ type token =
   | JOIN
   | TRACE
   | RECORDER
-  | METRICS
-  | SLO
   | IDENT of string
   | INT of int
   | FLOAT of float

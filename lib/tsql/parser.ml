@@ -385,13 +385,7 @@ let statement st =
       | Lexer.RECORDER ->
           advance st;
           Ast.Show_recorder
-      | Lexer.METRICS ->
-          advance st;
-          Ast.Show_metrics
-      | Lexer.SLO ->
-          advance st;
-          Ast.Show_slo
-      | _ -> fail st "STATS, PARTITIONS, TRACE, RECORDER, METRICS or SLO")
+      | _ -> fail st "STATS, PARTITIONS, TRACE or RECORDER")
   | Lexer.CREATE -> (
       advance st;
       match peek st with
@@ -439,7 +433,7 @@ let statement st =
       fail st
         "a statement (SELECT, EXPLAIN ANALYZE, CREATE, REFRESH, DROP, INSERT, \
          DELETE, ANALYZE, SHOW STATS, SHOW PARTITIONS, SHOW TRACE, SHOW \
-         RECORDER, SHOW METRICS, SHOW SLO)"
+         RECORDER)"
 
 let run_parser text parse_fn =
   match Lexer.tokenize text with

@@ -64,6 +64,8 @@ type t = {
   mutable data_dir : string option;
       (* Where CREATE TABLE places partition directories; a temp dir is
          made on first use when none was given. *)
+  mutable made_dir : string option;
+      (* That temp dir, which [close] removes; never a given data_dir. *)
   split_threshold : int option;  (* Partition shard-split threshold. *)
   mutable last_join : string option;
       (* Join strategy chosen by the most recent statement's plan, with
@@ -73,10 +75,6 @@ type t = {
       (* Degradations reported by the most recent statement — how the
          network server learns a guarded SELECT survived by falling
          back rather than completing cleanly. *)
-  mutable metrics_provider : (unit -> string) option;
-      (* SHOW METRICS body — the host (CLI, network server) decides what
-         registry backs it. *)
-  mutable slo_provider : (unit -> string) option;  (* SHOW SLO body *)
 }
 
 let materialize base =
@@ -133,11 +131,10 @@ let create ?(cache_capacity = 128) ?(adaptive = true) ?data_dir
       store = Catalog.store source;
       adaptive;
       data_dir;
+      made_dir = None;
       split_threshold;
       last_join = None;
       last_degradations = 0;
-      metrics_provider = None;
-      slo_provider = None;
     }
   in
   List.iter
@@ -161,7 +158,23 @@ let ensure_data_dir t =
   | None ->
       let dir = Filename.temp_dir "tempagg-session" "" in
       t.data_dir <- Some dir;
+      t.made_dir <- Some dir;
       dir
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun x -> remove_tree (Filename.concat path x)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let close t =
+  Option.iter
+    (fun dir ->
+      t.data_dir <- None;
+      t.made_dir <- None;
+      try remove_tree dir with Sys_error _ -> ())
+    t.made_dir
 
 let add_partition t name p =
   add_base ~part:p t name (Storage.Partition.materialize p)
@@ -810,21 +823,6 @@ let show_stats t = Ok (Ack (Obs.Stats.store_to_string t.store))
 let show_trace () = Ok (Ack (Obs.Recorder.trace_status ()))
 let show_recorder () = Ok (Ack (Obs.Recorder.summary ()))
 
-let set_introspection ?metrics ?slo t =
-  (match metrics with Some f -> t.metrics_provider <- Some f | None -> ());
-  match slo with Some f -> t.slo_provider <- Some f | None -> ()
-
-let show_metrics t =
-  match t.metrics_provider with
-  | Some f -> Ok (Ack (f ()))
-  | None -> Ok (Ack "no metrics registry attached to this session")
-
-let show_slo t =
-  match t.slo_provider with
-  | Some f -> Ok (Ack (f ()))
-  | None ->
-      Ok (Ack "no SLO engine attached to this session (serve with --slo FILE)")
-
 (* Swap a base relation's contents wholesale — how the server pushes a
    fresh scrape of the self-relations into every session.  Statistics
    and cached results tied to the old contents are invalidated;
@@ -877,8 +875,6 @@ let exec_statement ?memory_budget ?deadline_ms ?on_error t stmt =
   | Ast.Show_partitions -> show_partitions t
   | Ast.Show_trace -> show_trace ()
   | Ast.Show_recorder -> show_recorder ()
-  | Ast.Show_metrics -> show_metrics t
-  | Ast.Show_slo -> show_slo t
 
 let last_degradations t = t.last_degradations
 let last_join t = t.last_join

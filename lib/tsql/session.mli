@@ -112,12 +112,11 @@ val replace_base : t -> string -> Relation.Trel.t -> unit
     @raise Invalid_argument if the name exists with a different
     schema. *)
 
-val set_introspection :
-  ?metrics:(unit -> string) -> ?slo:(unit -> string) -> t -> unit
-(** Attach the [SHOW METRICS] / [SHOW SLO] bodies.  Each statement calls
-    the provider at execution time; sessions without one answer with a
-    pointer at the flag that would attach it.  Providers must be safe to
-    call from whichever thread executes statements. *)
+val close : t -> unit
+(** Remove the temporary directory the session made for [CREATE TABLE]
+    when it was created without a [data_dir], and the tables in it.  A
+    given [data_dir] is never touched.  Call once no statement runs on
+    the session any more; idempotent. *)
 
 val add_partition : t -> string -> Storage.Partition.t -> unit
 (** Register an opened {!Storage.Partition} as a base relation

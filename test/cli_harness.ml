@@ -10,15 +10,19 @@ let cli =
     (Filename.dirname (Filename.dirname Sys.executable_name))
     (Filename.concat "bin" "tempagg_cli.exe")
 
-(* Runs the CLI with the given arguments, stdin read from the file
-   [?stdin] when given, returning (exit code, stdout and stderr). *)
-let run ?stdin args =
+(* Runs the CLI with the given arguments and extra environment
+   variables, stdin read from the file [?stdin] when given, returning
+   (exit code, stdout and stderr). *)
+let run ?(env = []) ?stdin args =
   let out = Filename.temp_file "tempagg_cli" ".out" in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists out then Sys.remove out)
     (fun () ->
       let cmd =
-        Printf.sprintf "%s %s%s > %s 2>&1" cli
+        Printf.sprintf "%s%s %s%s > %s 2>&1"
+          (String.concat ""
+             (List.map (fun (k, v) -> k ^ "=" ^ Filename.quote v ^ " ") env))
+          cli
           (String.concat " " (List.map Filename.quote args))
           (match stdin with
           | Some path -> " < " ^ Filename.quote path
@@ -45,11 +49,11 @@ let with_tempdir f =
 
 (* [tempagg serve --listen stdin ARGS < script]: one statement per line;
    replies go to stdout and the report to stderr, both returned. *)
-let serve_stdin ?(args = []) script =
+let serve_stdin ?env ?(args = []) script =
   with_tempdir (fun dir ->
       let path = Filename.concat dir "ops.tsql" in
       Out_channel.with_open_text path (fun oc -> output_string oc script);
-      run ~stdin:path ([ "serve"; "--listen"; "stdin" ] @ args))
+      run ?env ~stdin:path ([ "serve"; "--listen"; "stdin" ] @ args))
 
 (* The report row of one statement kind, split into its fields:
    [kind; ops; mean-us; p50-us; p90-us; p99-us; max-us]. *)

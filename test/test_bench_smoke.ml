@@ -136,15 +136,15 @@ let test_obs_section_artifacts () =
           Alcotest.(check bool) needle true (contains trace_text needle))
         [ "{\"traceEvents\":["; "\"ph\":\"X\""; "\"name\":\"shard\"";
           "thread_name" ];
-      let metrics = Filename.concat dir "BENCH_metrics.txt" in
-      Alcotest.(check bool) "metrics written" true (Sys.file_exists metrics);
-      let metrics_text =
-        In_channel.with_open_text metrics In_channel.input_all
+      let profile = Filename.concat dir "BENCH_profile.txt" in
+      Alcotest.(check bool) "profile written" true (Sys.file_exists profile);
+      let profile_text =
+        In_channel.with_open_text profile In_channel.input_all
       in
       List.iter
         (fun needle ->
-          Alcotest.(check bool) needle true (contains metrics_text needle))
-        [ "# TYPE tempagg_profile_peak_bytes gauge"; "tempagg_profile_attempts" ])
+          Alcotest.(check bool) needle true (contains profile_text needle))
+        [ "attempts:"; "memory: allocated_nodes="; "peak_bytes=" ])
 
 let () =
   Alcotest.run "bench-smoke"

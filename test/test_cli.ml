@@ -249,15 +249,15 @@ let test_serve_parse_error () =
   check_contains out "1 error(s)"
 
 (* The observability flags on query: --profile prints the EXPLAIN
-   ANALYZE report, --metrics a Prometheus exposition, --trace a Chrome
-   trace file with one complete event per span. *)
+   ANALYZE report, --trace a Chrome trace file with one complete event
+   per span. *)
 let test_query_observability_flags () =
   with_tempdir (fun dir ->
       let trace = Filename.concat dir "trace.json" in
       let code, out =
         run
           [
-            "query"; "--profile"; "--metrics"; "--trace"; trace;
+            "query"; "--profile"; "--trace"; trace;
             "--algorithm"; "parallel(2,sweep)";
             "SELECT COUNT(Name) FROM Employed";
           ]
@@ -269,12 +269,90 @@ let test_query_observability_flags () =
       check_contains out "plan: parallel(2,sweep)";
       check_contains out "attempts:";
       check_contains out "memory: allocated_nodes=";
-      check_contains out "# TYPE tempagg_profile_peak_bytes gauge";
-      check_contains out "tempagg_io_pages_read";
+      check_contains out "io: pages_read=0";
       Alcotest.(check bool) "trace file written" true (Sys.file_exists trace);
       let json = In_channel.with_open_text trace In_channel.input_all in
       check_contains json "{\"traceEvents\":[";
-      check_contains json "\"name\":\"shard\"")
+      check_contains json "\"name\":\"shard\"";
+      (* The profile carries everything --metrics printed; the flag is
+         gone. *)
+      let code, _ =
+        run [ "query"; "--metrics"; "SELECT COUNT(Name) FROM Employed" ]
+      in
+      Alcotest.(check bool) "--metrics rejected" true (code <> 0))
+
+(* --profile reports the page I/O of loading a heap-file relation. *)
+let test_query_profile_io () =
+  with_tempdir (fun dir ->
+      let csv = Filename.concat dir "r.csv" in
+      let heap = Filename.concat dir "r.heap" in
+      let code, _ = run [ "generate"; "--tuples"; "300"; "-o"; csv ] in
+      Alcotest.(check int) "generate" 0 code;
+      let code, _ = run [ "convert"; csv; heap ] in
+      Alcotest.(check int) "convert" 0 code;
+      let code, out =
+        run [ "query"; "--profile"; "-r"; "R=" ^ heap; "SELECT COUNT(*) FROM R" ]
+      in
+      Alcotest.(check int) "exit 0" 0 code;
+      check_contains out "io: pages_read=";
+      Alcotest.(check bool) "pages were read" false
+        (contains out "io: pages_read=0 "))
+
+(* Without --data-dir, the first CREATE TABLE of a connection makes a
+   temporary directory; closing the connection removes it. *)
+let test_serve_removes_session_dir () =
+  with_tempdir (fun tmp ->
+      let code, out =
+        Cli_harness.serve_stdin
+          ~env:[ ("TMPDIR", tmp) ]
+          "CREATE TABLE t (v INT) PARTITION BY RANGE (vt) (100)\n\
+           INSERT INTO t VALUES (1) DURING [5,150]\n"
+      in
+      Alcotest.(check int) "exit 0" 0 code;
+      check_contains out "table t created";
+      Alcotest.(check (list string)) "no session directory left" []
+        (List.filter
+           (fun f -> String.starts_with ~prefix:"tempagg-session" f)
+           (Array.to_list (Sys.readdir tmp))))
+
+(* client --trace-ids tags statements but never a control verb, so SLO
+   and METRICS still reach the server's event loop. *)
+let test_client_trace_ids_verbs () =
+  with_tempdir (fun dir ->
+      let log = Filename.concat dir "server.log" in
+      let script = Filename.concat dir "ops.tsql" in
+      Out_channel.with_open_text script (fun oc ->
+          output_string oc "SLO\nMETRICS\nSELECT COUNT(Name) FROM Employed\n");
+      let server =
+        Unix.create_process "/bin/sh"
+          [| "/bin/sh"; "-c";
+             Printf.sprintf "exec %s serve --listen 0 --domains 1 >/dev/null 2>%s"
+               (Filename.quote Cli_harness.cli) (Filename.quote log) |]
+          Unix.stdin Unix.stdout Unix.stderr
+      in
+      let rec port tries =
+        let text =
+          if Sys.file_exists log then
+            In_channel.with_open_text log In_channel.input_all
+          else ""
+        in
+        match Scanf.sscanf_opt text "tempagg: listening on port %d" Fun.id with
+        | Some p -> p
+        | None when tries > 0 -> Unix.sleepf 0.05; port (tries - 1)
+        | None -> Alcotest.fail ("server did not start: " ^ text)
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.kill server Sys.sigterm;
+          ignore (Unix.waitpid [] server))
+        (fun () ->
+          let code, out =
+            run
+              [ "client"; "--connect"; string_of_int (port 200); "--trace-ids";
+                "--strict"; "--script"; script ]
+          in
+          Alcotest.(check int) "exit 0" 0 code;
+          check_contains out "client: 3 ok, 0 err, 0 busy"))
 
 (* A METRICS line prints the exposition at that point of the script. *)
 let test_serve_metrics_line () =
@@ -362,9 +440,13 @@ let () =
           quick "serve script" test_serve_script;
           quick "serve without --listen" test_serve_requires_listen;
           quick "serve parse error" test_serve_parse_error;
-          quick "query --profile/--metrics/--trace"
-            test_query_observability_flags;
+          quick "query --profile/--trace" test_query_observability_flags;
+          quick "query --profile reports heap I/O" test_query_profile_io;
+          quick "serve removes its session temp dir"
+            test_serve_removes_session_dir;
           quick "serve METRICS line" test_serve_metrics_line;
+          quick "client --trace-ids leaves verbs untagged"
+            test_client_trace_ids_verbs;
           quick "query and serve honour ON ERROR" test_query_on_error_clause;
           quick "serve --data-dir created" test_serve_data_dir;
         ] );

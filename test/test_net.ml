@@ -523,6 +523,27 @@ let test_e2e_metrics_and_dump_verbs () =
           | Ok (Net.Protocol.Err _) -> ()
           | _ -> Alcotest.fail "an invalid dump id must answer ERR"))
 
+(* METRICS reads every registered source when asked: one uptime series,
+   owned by the server (its help text, not the binary's).  SHOW METRICS
+   is no statement — the verb is the one path. *)
+let test_e2e_metrics_single_uptime () =
+  with_server (fun port _report_of ->
+      let c = Net.Client.connect ~port () in
+      Fun.protect ~finally:(fun () -> Net.Client.close c) (fun () ->
+          let _, payload = expect_ok (Net.Client.request c "METRICS") in
+          let lines prefix =
+            List.filter (String.starts_with ~prefix) payload
+          in
+          Alcotest.(check int) "one uptime sample" 1
+            (List.length (lines "tempagg_uptime_seconds "));
+          Alcotest.(check (list string)) "the server's help text"
+            [ "# HELP tempagg_uptime_seconds Seconds since the server \
+               started serving" ]
+            (lines "# HELP tempagg_uptime_seconds");
+          match Net.Client.request c "SHOW METRICS" with
+          | Ok (Net.Protocol.Err _) -> ()
+          | _ -> Alcotest.fail "SHOW METRICS is no statement: expected ERR"))
+
 (* Shed requests never reach a worker, but their trace is still worth
    keeping: the dispatch path closes the root with outcome=shed and pins
    it, so the BUSY is reconstructable after the fact. *)
@@ -633,6 +654,8 @@ let () =
           Alcotest.test_case "trace span tree" `Quick test_e2e_trace_span_tree;
           Alcotest.test_case "METRICS and TRACE DUMP verbs" `Quick
             test_e2e_metrics_and_dump_verbs;
+          Alcotest.test_case "METRICS has one server-owned uptime" `Quick
+            test_e2e_metrics_single_uptime;
           Alcotest.test_case "shed request pinned" `Quick
             test_e2e_shed_request_pinned;
           Alcotest.test_case "report renders" `Quick test_e2e_report_render;

@@ -1,6 +1,6 @@
 (* Tests for the observability subsystem: log-bucketed histograms
    against a sorted-array oracle, span-tree well-formedness under
-   Parallel evaluation, the Prometheus exposition, the stats adapters,
+   Parallel evaluation, the Prometheus exposition, its pull sources,
    EXPLAIN ANALYZE profiles (aborted fallback attempts included), and
    the "disarmed tracing is free" overhead bar. *)
 
@@ -542,9 +542,9 @@ let test_build_info_metrics () =
   check_contains "identity gauge" text
     (Printf.sprintf "tempagg_build_info{version=\"%s\"} 1"
        Obs.Build_info.version);
-  check_contains "uptime gauge" text "tempagg_uptime_seconds";
-  Alcotest.(check bool) "uptime is non-negative" true
-    (Obs.Build_info.uptime_seconds () >= 0.);
+  (* Uptime belongs to the server that runs, not to the binary. *)
+  Alcotest.(check bool) "no uptime gauge" false
+    (contains text "tempagg_uptime_seconds");
   (* Refreshing folds in place: still one sample per scrape. *)
   Obs.Build_info.to_metrics r;
   Alcotest.(check int) "one build_info sample" 1
@@ -716,49 +716,68 @@ let test_slowlog_join_trace_fields () =
 (* ------------------------------------------------------------------ *)
 
 let test_adapters () =
+  (* The snapshot adapters the server registers as sources: the live
+     counters and the process-wide join counters. *)
   let r = Obs.Metrics.create () in
-  (* Engine instrumentation. *)
-  let inst = Instrument.create () in
-  for _ = 1 to 5 do
-    Instrument.alloc inst
-  done;
-  Instrument.free inst;
-  Instrument.snapshot_to_metrics r (Instrument.snapshot inst);
+  let live = Live.Stats.create () in
+  Obs.Metrics.source r (fun () -> Live.Stats.to_metrics r live);
+  Obs.Metrics.source r (fun () -> Join.Telemetry.to_metrics r);
+  check_contains "live gauges exposed" (Obs.Metrics.expose r)
+    "tempagg_live_inserts 0";
+  live.Live.Stats.inserts <- 3;
+  let sweep_before, _, _, _ = Join.Telemetry.totals () in
+  Join.Telemetry.record ~strategy:Join.Engine.Sweep ~pairs:2;
+  check_contains "live gauges follow the stats" (Obs.Metrics.expose r)
+    "tempagg_live_inserts 3";
+  let joins =
+    List.find_map
+      (fun (s : Obs.Metrics.sample) ->
+        if
+          s.Obs.Metrics.s_name = "tempagg_join_total"
+          && s.Obs.Metrics.s_labels = [ ("strategy", "sweep") ]
+        then Some s.Obs.Metrics.s_value
+        else None)
+      (Obs.Metrics.samples r)
+  in
   Alcotest.(check (option (float 0.)))
-    "allocated nodes" (Some 5.)
-    (Obs.Metrics.value r "tempagg_engine_allocated_nodes");
-  Alcotest.(check (option (float 0.)))
-    "peak live" (Some 5.)
-    (Obs.Metrics.value r "tempagg_engine_peak_live_nodes");
-  (* Storage I/O counters, refreshed in place on a second fold. *)
-  let io = Storage.Io_stats.create () in
-  Storage.Io_stats.read_page io;
-  Storage.Io_stats.read_page io;
-  Storage.Io_stats.retry io;
-  Storage.Io_stats.to_metrics r io;
-  Storage.Io_stats.read_page io;
-  Storage.Io_stats.to_metrics r io;
-  Alcotest.(check (option (float 0.)))
-    "pages read refreshes" (Some 3.)
-    (Obs.Metrics.value r "tempagg_io_pages_read");
-  Alcotest.(check (option (float 0.)))
-    "retries" (Some 1.)
-    (Obs.Metrics.value r "tempagg_io_retries");
-  (* Live view counters. *)
-  Live.Stats.to_metrics r (Live.Stats.create ());
-  check_contains "live gauges exposed" (Obs.Metrics.expose r) "tempagg_live_";
-  (* Degradation events count by stage. *)
-  Engine.degradations_to_metrics r
-    [
-      { Engine.stage = "eval"; reason = "a"; action = "retry" };
-      { Engine.stage = "eval"; reason = "b"; action = "retry" };
-      { Engine.stage = "shard 1"; reason = "c"; action = "inline" };
-    ];
-  Alcotest.(check (option (float 0.)))
-    "eval degradations" (Some 2.)
-    (Obs.Metrics.value r
-       ~labels:[ ("stage", "eval") ]
-       "tempagg_degradations_total")
+    "join counter follows the telemetry"
+    (Some (float_of_int (sweep_before + 1)))
+    joins
+
+(* A source runs at the start of every read, in registration order, so
+   a value set elsewhere shows up in samples, expose and write_file
+   without any refresh call. *)
+let test_metrics_sources () =
+  let r = Obs.Metrics.create () in
+  let depth = ref 1 and order = ref [] in
+  Obs.Metrics.source r (fun () ->
+      order := "first" :: !order;
+      Obs.Metrics.set_int (Obs.Metrics.gauge r ~help:"Queue depth" "depth")
+        !depth);
+  Obs.Metrics.source r (fun () -> order := "second" :: !order);
+  let sampled () =
+    List.map
+      (fun (s : Obs.Metrics.sample) -> (s.Obs.Metrics.s_name, s.Obs.Metrics.s_value))
+      (Obs.Metrics.samples r)
+  in
+  Alcotest.(check (list (pair string (float 0.)))) "first read" [ ("depth", 1.) ]
+    (sampled ());
+  Alcotest.(check (list string)) "registration order" [ "second"; "first" ]
+    !order;
+  depth := 7;
+  Alcotest.(check (list (pair string (float 0.)))) "samples see the new value"
+    [ ("depth", 7.) ] (sampled ());
+  depth := 9;
+  check_contains "expose sees the new value" (Obs.Metrics.expose r) "depth 9";
+  depth := 11;
+  let path = Filename.temp_file "tempagg_metrics" ".prom" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Obs.Metrics.write_file r path;
+      check_contains "write_file sees the new value"
+        (In_channel.with_open_text path In_channel.input_all)
+        "depth 11")
 
 (* ------------------------------------------------------------------ *)
 (* Profile                                                             *)
@@ -854,12 +873,7 @@ let test_profile_report_fields () =
       "2.000 ms";
       "io: pages_read=3";
       "total: 2.500 ms";
-    ];
-  let r = Obs.Metrics.create () in
-  Obs.Profile.to_metrics r p;
-  Alcotest.(check (option (float 0.)))
-    "segments gauge" (Some 42.)
-    (Obs.Metrics.value r "tempagg_profile_segments")
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN ANALYZE and the serve loop                                  *)
@@ -1023,6 +1037,8 @@ let () =
             test_metrics_write_file_atomic;
           Alcotest.test_case "build info" `Quick test_build_info_metrics;
           Alcotest.test_case "adapters" `Quick test_adapters;
+          Alcotest.test_case "sources are read without a refresh" `Quick
+            test_metrics_sources;
         ] );
       ( "slo",
         [
