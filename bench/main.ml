@@ -1977,7 +1977,7 @@ let net_client_body ~port ~seed ~initial_n ~ops_len ~file =
   Array.iter
     (fun op ->
       let stmt = net_statement_of_op next_id op in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Obs.Trace.now_us () in
       let status =
         match Net.Client.request c stmt with
         | Ok (Net.Protocol.Ok_reply { degraded = true; _ }) -> "degraded"
@@ -1986,7 +1986,7 @@ let net_client_body ~port ~seed ~initial_n ~ops_len ~file =
         | Ok (Net.Protocol.Busy _) -> "busy"
         | Ok _ | Error _ -> "violation"
       in
-      Printf.fprintf oc "%s %.0f\n" status ((Unix.gettimeofday () -. t0) *. 1e6))
+      Printf.fprintf oc "%s %d\n" status (Obs.Trace.now_us () - t0))
     ops;
   ignore (Net.Client.request c "QUIT");
   Net.Client.close c;
@@ -2071,7 +2071,7 @@ let net_round ~tag ~clients ~domains ~queue_depth ~watermark ~initial_n
         Unix._exit code
     | pid -> pid
   in
-  let t_start = Unix.gettimeofday () in
+  let t_start = Obs.Trace.now_us () in
   let pids =
     List.mapi
       (fun i file ->
@@ -2095,7 +2095,7 @@ let net_round ~tag ~clients ~domains ~queue_depth ~watermark ~initial_n
         | _ -> acc + 1)
       0 pids
   in
-  let wall = Unix.gettimeofday () -. t_start in
+  let wall = float_of_int (Obs.Trace.now_us () - t_start) /. 1e6 in
   Unix.kill server_pid Sys.sigterm;
   let drained =
     match Unix.waitpid [] server_pid with
@@ -2278,9 +2278,9 @@ let selfmon_bench cfg =
   for _ = 1 to measured do
     drive_tick ();
     now := !now + 1_000_000;
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.Trace.now_us () in
     Selfmon.Scrape.scrape ~now_us:!now scraper;
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = float_of_int (Obs.Trace.now_us () - t0) /. 1e6 in
     total := !total +. dt;
     if dt > !worst then worst := dt
   done;
@@ -2291,11 +2291,11 @@ let selfmon_bench cfg =
      AVG pays. *)
   let catalog = Selfmon.Scrape.catalog scraper in
   let query_cost q =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.Trace.now_us () in
     (match Tsql.Eval.query ~adaptive:false catalog q with
     | Ok _ -> ()
     | Error msg -> Printf.printf "  (query failed: %s)\n" msg);
-    Unix.gettimeofday () -. t0
+    float_of_int (Obs.Trace.now_us () - t0) /. 1e6
   in
   let avg_cost =
     query_cost

@@ -185,8 +185,9 @@ let deadline_arg =
     & opt (some float) None
     & info [ "deadline-ms" ] ~docv:"MS"
         ~doc:
-          "Wall-clock deadline per evaluation, in milliseconds; running \
-           past it aborts with a structured error (never retried).")
+          "Deadline per evaluation, in milliseconds on the monotonic \
+           clock; running past it aborts with a structured error (never \
+           retried).")
 
 let faults_arg =
   Arg.(
@@ -291,8 +292,8 @@ let exec kind bindings algorithm domains on_error join_strategy memory_budget
                   (fun catalog ->
                     match kind with
                     | `Run ->
-                        (* Created before parsing: the profile's
-                           parse+analyze phase and total run from here. *)
+                        (* Its total is the parse+analyze span of
+                           [prepare] plus the execute-plan span. *)
                         let profile =
                           if profile then Some (Obs.Profile.create ()) else None
                         in

@@ -127,14 +127,9 @@ let rec eval : type v s r.
         Parallel.eval ?instrument ?offsets:shard_offsets ~domains
           ~eval_shard:(fun ~instrument shard ->
             eval ?origin ?horizon ?instrument inner state_monoid shard)
-          monoid data
+          monoid (Array.of_seq data)
   in
-  (* Recording check here rather than inside [with_span], so the cost
-     on the hot path with every sink off is the atomic loads and no
-     closure capture of the attrs list. *)
-  if Obs.Trace.recording () then
-    Obs.Trace.with_span ~attrs:[ ("algorithm", name algorithm) ] "eval" run
-  else run ()
+  Obs.Trace.with_span ~attrs:[ ("algorithm", name algorithm) ] "eval" run
 
 let eval_with_stats ?origin ?horizon ?shard_offsets algorithm monoid data =
   let inst = Instrument.create ~node_bytes:(node_bytes algorithm) () in
@@ -203,6 +198,15 @@ let reason_of_exn = function
   | Invalid_argument msg -> msg
   | e -> Printexc.to_string e
 
+let error_of_exn = function
+  | Korder_tree.Order_violation { position; _ } -> Not_k_ordered { position }
+  | Guard.Budget_exceeded { budget_bytes; used_bytes } ->
+      Budget_exhausted { budget_bytes; used_bytes }
+  | Guard.Deadline_exceeded { deadline_ms; elapsed_ms } ->
+      Deadline_exhausted { deadline_ms; elapsed_ms }
+  | Invalid_argument msg -> Eval_failed msg
+  | e -> raise e
+
 (* The k-ordered tree retries at most up to this k before conceding that
    the input is essentially unsorted and the aggregation tree (which
    needs no order at all) is the right tool. *)
@@ -210,8 +214,8 @@ let k_retry_cap = 4096
 
 (* The declarative fallback chain: which algorithm to try next after
    [alg] failed with [exn], or [None] when the failure is terminal.
-   Deadlines are always terminal — retrying cannot recover wall-clock
-   time already spent. *)
+   Deadlines are always terminal — retrying cannot recover time already
+   spent. *)
 let rec fallback_step exn alg =
   match (alg, exn) with
   | Korder_tree { k }, Korder_tree.Order_violation _ ->
@@ -256,21 +260,22 @@ let eval_robust : type v s r.
      caller's Seq is ephemeral (e.g. a single-pass storage scan).  Only
      a retry (a policy other than [Fail]) or a profile (which reports
      the tuple count) needs the copy; otherwise the one attempt consumes
-     the caller's sequence directly, as a plain [eval] does. *)
-  let data =
-    if on_error = Fail && profile = None then data
-    else begin
-      let mat_t0 = Unix.gettimeofday () in
-      let tuples = Array.of_seq data in
-      Option.iter
-        (fun p ->
-          Obs.Profile.set_tuples p (Array.length tuples);
-          Obs.Profile.add_phase p "materialize"
-            ((Unix.gettimeofday () -. mat_t0) *. 1000.))
-        profile;
-      Array.to_seq tuples
-    end
+     the caller's sequence directly, as a plain [eval] does.  A
+     [Parallel] attempt shards this one copy in place. *)
+  let tuples =
+    if on_error = Fail && profile = None then None
+    else
+      match Obs.Trace.timed "materialize" (fun () -> Array.of_seq data) with
+      | Ok tuples, us ->
+          Option.iter
+            (fun p ->
+              Obs.Profile.set_tuples p (Array.length tuples);
+              Obs.Profile.add_phase p "materialize" us)
+            profile;
+          Some tuples
+      | Error e, _ -> raise e
   in
+  let data = match tuples with Some a -> Array.to_seq a | None -> data in
   let guard = Guard.create ?memory_budget ?deadline_ms () in
   let degradations = ref [] in
   let note ~stage ~reason ~action =
@@ -280,10 +285,10 @@ let eval_robust : type v s r.
       (fun p -> Obs.Profile.note_degradation p (degradation_to_string d))
       profile
   in
-  (* One attempt with algorithm [alg], under [guard].  Raises on failure;
-     the caller decides whether the policy and chain allow a retry. *)
+  (* One attempt with algorithm [alg], under [guard].  Returns the
+     failure; the caller decides whether the policy and chain allow a
+     retry. *)
   let attempt alg =
-    let attempt_t0 = Unix.gettimeofday () in
     (* With no limits configured and no profile requested, skip the
        instrument entirely so the happy path costs exactly what a plain
        [eval] does (the <3% guard-overhead bar in the bench's [guard]
@@ -292,31 +297,26 @@ let eval_robust : type v s r.
       if Guard.unlimited guard && profile = None then None
       else begin
         let i = Instrument.create ~node_bytes:(node_bytes alg) () in
-        if not (Guard.unlimited guard) then begin
-          (* Parallel shards inherit this instrument's hook and run
-             concurrently, so each shard is held to an equal split of
-             the memory budget (their live bytes add up); the deadline
-             clock is shared. *)
-          let g =
-            match alg with
-            | Parallel { domains; _ } ->
-                let ways =
-                  match shard_offsets with
-                  | Some o -> Stdlib.max 1 (Array.length o - 1)
-                  | None -> domains
-                in
-                Guard.split guard ways
-            | _ -> guard
-          in
-          Guard.attach g i
-        end;
+        (* Parallel shards inherit this instrument's hook and run
+           concurrently, so each shard is held to an equal split of the
+           memory budget (their live bytes add up); the deadline clock
+           is shared.  An unlimited guard attaches no hook. *)
+        Guard.attach
+          (match alg with
+          | Parallel { domains; _ } ->
+              Guard.split guard
+                (match shard_offsets with
+                | Some o -> Stdlib.max 1 (Array.length o - 1)
+                | None -> domains)
+          | _ -> guard)
+          i;
         Some i
       end
     in
     let data () = Guard.wrap_seq guard data in
     let body () =
-      match (alg, on_error) with
-      | Korder_tree { k }, Skip ->
+      match (alg, tuples) with
+      | Korder_tree { k }, _ when on_error = Skip ->
           (* Skip mode: drop (and count) each misordered tuple instead of
              abandoning the k-ordered tree. *)
           let t =
@@ -334,7 +334,8 @@ let eval_robust : type v s r.
             note ~stage:(name alg) ~reason:"input not k-ordered"
               ~action:(Printf.sprintf "skipped %d misordered tuples" !skipped);
           timeline
-      | Parallel { domains; inner }, (Fallback | Skip) ->
+      | Parallel { domains; inner }, Some tuples ->
+          (* Each shard wraps its slice for the per-tuple deadline checks. *)
           let state_monoid = { monoid with Monoid.output = Fun.id } in
           let fallback_shard ~shard ~exn ~instrument shard_data =
             let fb = shard_fallback_algorithm exn in
@@ -342,63 +343,42 @@ let eval_robust : type v s r.
               ~stage:(Printf.sprintf "%s shard %d" (name inner) shard)
               ~reason:(reason_of_exn exn)
               ~action:(Printf.sprintf "re-evaluated inline with %s" (name fb));
-            eval ?origin ?horizon ?instrument fb state_monoid shard_data
+            eval ?origin ?horizon ?instrument fb state_monoid
+              (Guard.wrap_seq guard shard_data)
           in
-          Parallel.eval ?instrument:inst ~fallback_shard ?offsets:shard_offsets
-            ~domains
+          Parallel.eval ?instrument:inst
+            ?fallback_shard:
+              (if on_error = Fail then None else Some fallback_shard)
+            ?offsets:shard_offsets ~domains
             ~eval_shard:(fun ~instrument shard ->
-              eval ?origin ?horizon ?instrument inner state_monoid shard)
-            monoid (data ())
+              eval ?origin ?horizon ?instrument inner state_monoid
+                (Guard.wrap_seq guard shard))
+            monoid tuples
       | _ ->
           eval ?origin ?horizon ?instrument:inst ?shard_offsets alg monoid
             (data ())
     in
-    let body () =
-      if Obs.Trace.recording () then
-        Obs.Trace.with_span ~attrs:[ ("algorithm", name alg) ] "attempt" body
-      else body ()
+    let result, us =
+      Obs.Trace.timed ~attrs:[ ("algorithm", name alg) ] "attempt" body
     in
     (* Record the attempt in the profile whether it succeeded or not:
        a failed attempt's instrument snapshot used to vanish with the
        exception, under-reporting peak memory for fallback chains. *)
-    let record outcome =
-      Option.iter
-        (fun p ->
-          let elapsed_ms = (Unix.gettimeofday () -. attempt_t0) *. 1000. in
-          match inst with
-          | Some i ->
-              let s = Instrument.snapshot i in
-              Obs.Profile.add_attempt p ~algorithm:(name alg) ~outcome
-                ~allocated_nodes:s.Instrument.allocated
-                ~peak_live:s.Instrument.peak_live
-                ~node_bytes:s.Instrument.node_bytes
-                ~peak_bytes:s.Instrument.peak_bytes ~elapsed_ms ()
-          | None ->
-              Obs.Profile.add_attempt p ~algorithm:(name alg) ~outcome
-                ~elapsed_ms ())
-        profile
-    in
-    match body () with
-    | timeline ->
-        record "ok";
-        timeline
-    | exception e ->
-        record (reason_of_exn e);
-        raise e
-  in
-  let error_of_exn = function
-    | Korder_tree.Order_violation { position; _ } -> Not_k_ordered { position }
-    | Guard.Budget_exceeded { budget_bytes; used_bytes } ->
-        Budget_exhausted { budget_bytes; used_bytes }
-    | Guard.Deadline_exceeded { deadline_ms; elapsed_ms } ->
-        Deadline_exhausted { deadline_ms; elapsed_ms }
-    | Invalid_argument msg -> Eval_failed msg
-    | e -> raise e
+    (match (profile, inst) with
+    | Some p, Some i ->
+        let s = Instrument.snapshot i in
+        Obs.Profile.add_attempt p ~algorithm:(name alg)
+          ~outcome:(match result with Ok _ -> "ok" | Error e -> reason_of_exn e)
+          ~allocated_nodes:s.Instrument.allocated
+          ~peak_live:s.Instrument.peak_live ~node_bytes:s.Instrument.node_bytes
+          ~peak_bytes:s.Instrument.peak_bytes ~elapsed_ms:(Obs.Trace.to_ms us)
+    | _ -> ());
+    result
   in
   let rec go alg =
     match attempt alg with
-    | timeline -> Ok (timeline, List.rev !degradations)
-    | exception e -> (
+    | Ok timeline -> Ok (timeline, List.rev !degradations)
+    | Error e -> (
         match (on_error, fallback_step e alg) with
         | (Fallback | Skip), Some alg' ->
             note ~stage:(name alg) ~reason:(reason_of_exn e)
@@ -406,18 +386,9 @@ let eval_robust : type v s r.
             go alg'
         | _ -> Error (error_of_exn e))
   in
-  let run () =
-    let eval_t0 = Unix.gettimeofday () in
-    let result = go algorithm in
-    Option.iter
-      (fun p ->
-        Obs.Profile.add_phase p "evaluate"
-          ((Unix.gettimeofday () -. eval_t0) *. 1000.))
-      profile;
-    result
+  let result, us =
+    Obs.Trace.timed ~attrs:[ ("algorithm", name algorithm) ] "eval-robust"
+      (fun () -> go algorithm)
   in
-  if Obs.Trace.recording () then
-    Obs.Trace.with_span
-      ~attrs:[ ("algorithm", name algorithm) ]
-      "eval-robust" run
-  else run ()
+  Option.iter (fun p -> Obs.Profile.add_phase p "evaluate" us) profile;
+  match result with Ok r -> r | Error e -> raise e

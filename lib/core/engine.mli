@@ -77,7 +77,7 @@ val eval_with_stats :
       (order violation → aggregation tree, blown budget → sweep) without
       aborting the other shards;
     - {!Guard.Deadline_exceeded} is always terminal — retrying cannot
-      recover wall-clock time already spent.
+      recover time already spent.
 
     Every recovery step is recorded as a {!degradation}; nothing degrades
     silently. *)
@@ -105,6 +105,10 @@ type error =
 
 val error_to_string : error -> string
 
+val error_of_exn : exn -> error
+(** The structured error for an order violation, a {!Guard} exception
+    or [Invalid_argument]; any other exception is re-raised. *)
+
 val eval_robust :
   ?origin:Chronon.t ->
   ?horizon:Chronon.t ->
@@ -119,9 +123,10 @@ val eval_robust :
   ('r Timeline.t * degradation list, error) result
 (** [eval_robust alg monoid data] evaluates under a {!Guard} built from
     [memory_budget] (bytes of algorithm state) and [deadline_ms]
-    (wall-clock, spanning all retries — a retry does not restart the
-    clock).  [on_error] defaults to [Fallback].  Unless [on_error] is
-    [Fail] and no [profile] is given, the input is materialized once up
+    (milliseconds on the monotonic {!Obs.Trace.now_us} clock, spanning
+    all retries — a retry does not restart the clock).  [on_error]
+    defaults to [Fallback].  Unless [on_error] is [Fail] and no
+    [profile] is given, the input is materialized once up
     front so retries replay identical tuples even from an ephemeral
     (single-pass) sequence; with [Fail] and no profile the single
     attempt consumes [data] directly.  Degradations are listed
@@ -132,10 +137,14 @@ val eval_robust :
     partitioned relation's storage shards (see {!eval}); under a
     [Parallel _] plan the memory budget is additionally {e split} evenly
     across the concurrent shards ({!Guard.split}), since their live
-    bytes accumulate at the same time.
+    bytes accumulate at the same time; the shards read the materialized
+    array in place.
 
+    Each step is a span timed by {!Obs.Trace.timed}: [materialize], one
+    [attempt] per algorithm tried, and [eval-robust] around the chain.
     When [profile] is given, every attempt — including ones a fallback
-    aborted — is recorded into it with its instrument snapshot, along
-    with input size, degradations and materialize/evaluate phase times.
-    Profiling forces per-attempt instrumentation even without budgets,
-    so it costs what [eval_with_stats] costs. *)
+    aborted — is recorded into it with its instrument snapshot and its
+    span's duration, along with input size, degradations and the
+    [materialize] and [evaluate] ([eval-robust]) phases.  Profiling
+    forces per-attempt instrumentation even without budgets, so it
+    costs what [eval_with_stats] costs. *)

@@ -13,12 +13,12 @@ exception
 type t = {
   budget_bytes : int option;
   deadline_ms : float option;
-  started_at : float;  (* wall clock, seconds *)
-  deadline_at : float;  (* absolute wall clock; infinity when unset *)
+  started_at : int;  (* Obs.Trace.now_us reading *)
+  deadline_at : int;  (* absolute, on the same clock; max_int when unset *)
   mutable ticks : int;
 }
 
-(* Wall-clock lookups are cheap but not free; cooperative checks sample
+(* Clock reads are cheap but not free; cooperative checks sample
    the clock every [clock_stride] ticks.  The stride is a power of two so
    the check is a single masked compare, and the very first tick always
    samples so a zero deadline fails fast and deterministically. *)
@@ -31,15 +31,15 @@ let create ?memory_budget ?deadline_ms () =
   (match deadline_ms with
   | Some ms when ms < 0. -> invalid_arg "Guard.create: negative deadline"
   | _ -> ());
-  let now = Unix.gettimeofday () in
+  let now = Obs.Trace.now_us () in
   {
     budget_bytes = memory_budget;
     deadline_ms;
     started_at = now;
     deadline_at =
       (match deadline_ms with
-      | Some ms -> now +. (ms /. 1000.)
-      | None -> infinity);
+      | Some ms -> now + int_of_float (ms *. 1000.)
+      | None -> max_int);
     ticks = 0;
   }
 
@@ -47,8 +47,8 @@ let unlimited t = t.budget_bytes = None && t.deadline_ms = None
 
 (* A shard-local view of the same guard: the memory budget is divided
    [ways] (shards run concurrently, so their live bytes add up against
-   the query's cap), while the deadline fields alias the parent's wall
-   clock — ticks on the split still race benignly on the parent's
+   the query's cap), while the deadline fields alias the parent's clock
+   readings — ticks on the split still race benignly on the parent's
    counter because the split shares [started_at]/[deadline_at] and each
    shard keeps its own tick counter. *)
 let split t ways =
@@ -68,11 +68,10 @@ let check t =
          clock is next sampled. *)
       t.ticks <- t.ticks + 1;
       if (t.ticks - 1) land clock_stride_mask = 0 then begin
-        let now = Unix.gettimeofday () in
+        let now = Obs.Trace.now_us () in
         if now > t.deadline_at then
-          raise
-            (Deadline_exceeded
-               { deadline_ms; elapsed_ms = (now -. t.started_at) *. 1000. })
+          let elapsed_ms = Obs.Trace.to_ms (now - t.started_at) in
+          raise (Deadline_exceeded { deadline_ms; elapsed_ms })
       end
 
 let check_instrument t inst =

@@ -1,4 +1,4 @@
-(** Per-query resource budgets: peak-memory caps and wall-clock deadlines.
+(** Per-query resource budgets: peak-memory caps and deadlines.
 
     The paper's algorithms have sharply different resource profiles — the
     aggregation tree is O(n²) time on sorted input and its node count is
@@ -9,7 +9,9 @@
     accounting the paper uses for its memory figures), and a {e deadline}
     by cooperative checks in every algorithm's insert loop (each tuple
     pulled from a {!wrap_seq}-wrapped input, and each node allocation,
-    ticks the guard; the wall clock is sampled every 256 ticks).
+    ticks the guard; the clock is sampled every 256 ticks).  Deadlines
+    run on {!Obs.Trace.now_us}, the monotonic clock spans are stamped
+    with, so a step of the wall clock neither fires nor postpones one.
 
     Both failures raise structured exceptions that {!Engine.eval_robust}
     converts into fallbacks or errors, never silent truncation. *)
@@ -25,16 +27,16 @@ exception
 exception
   Deadline_exceeded of {
     deadline_ms : float;  (** The configured deadline. *)
-    elapsed_ms : float;  (** Wall-clock time actually spent. *)
+    elapsed_ms : float;  (** Time actually spent, on the monotonic clock. *)
   }
-(** The evaluation ran past its wall-clock deadline. *)
+(** The evaluation ran past its deadline. *)
 
 type t
 
 val create : ?memory_budget:int -> ?deadline_ms:float -> unit -> t
 (** [memory_budget] is in bytes of algorithm state; [deadline_ms] is
-    wall-clock milliseconds counted from this call.  Omitted limits are
-    not enforced.
+    milliseconds on the monotonic clock, counted from this call.
+    Omitted limits are not enforced.
     @raise Invalid_argument on a negative budget or deadline. *)
 
 val unlimited : t -> bool
@@ -48,20 +50,16 @@ val split : t -> int -> t
     the original start).  @raise Invalid_argument if [ways < 1]. *)
 
 val check : t -> unit
-(** One cooperative tick.  Cheap (a masked compare); samples the wall
-    clock every 256th tick (and on the first).
+(** One cooperative tick.  Cheap (a masked compare); samples the
+    monotonic clock every 256th tick (and on the first).
     @raise Deadline_exceeded when the deadline has passed. *)
-
-val check_instrument : t -> Instrument.t -> unit
-(** {!check} plus the memory-budget comparison against the instrument's
-    live bytes ([live * node_bytes]).
-    @raise Budget_exceeded
-    @raise Deadline_exceeded *)
 
 val hook : t -> (Instrument.t -> unit) option
 (** The {!Instrument.set_hook} payload: [None] when {!unlimited} (so the
-    happy path keeps its bare allocation counters), otherwise
-    {!check_instrument} partially applied. *)
+    happy path keeps its bare allocation counters), otherwise {!check}
+    plus the budget comparison against the instrument's live bytes.
+    @raise Budget_exceeded
+    @raise Deadline_exceeded *)
 
 val attach : t -> Instrument.t -> unit
 (** [attach t inst] installs {!hook} on [inst]. *)

@@ -6,10 +6,9 @@ open Temporal
    inner algorithm. *)
 let shard_bounds ~shards n i = (i * n / shards, (i + 1) * n / shards)
 
-let eval ?instrument ?fallback_shard ?offsets ~domains ~eval_shard monoid data
-    =
+let eval ?instrument ?fallback_shard ?offsets ~domains ~eval_shard monoid
+    tuples =
   if domains < 1 then invalid_arg "Parallel.eval: domains must be >= 1";
-  let tuples = Array.of_seq data in
   let n = Array.length tuples in
   (* Explicit shard boundaries (e.g. a time-partitioned relation's shard
      joints) override the default equal-count slicing; each offsets
@@ -66,13 +65,14 @@ let eval ?instrument ?fallback_shard ?offsets ~domains ~eval_shard monoid data
               inst)
             instrument)
     in
+    (* Shards only read, so they share [tuples] instead of copying it. *)
     let shard_seq i =
       let lo, hi =
         match offsets with
         | Some o -> (o.(i), o.(i + 1))
         | None -> shard_bounds ~shards:d n i
       in
-      Array.to_seq (Array.sub tuples lo (hi - lo))
+      Seq.init (hi - lo) (fun j -> tuples.(lo + j))
     in
     let run i =
       shard_span i (fun () ->

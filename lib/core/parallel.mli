@@ -34,10 +34,11 @@ val eval :
     (Interval.t * 'v) Seq.t ->
     's Timeline.t) ->
   ('v, 's, 'r) Monoid.t ->
-  (Interval.t * 'v) Seq.t ->
+  (Interval.t * 'v) array ->
   'r Timeline.t
-(** [eval ~domains ~eval_shard monoid data] splits [data] into at most
-    [domains] contiguous shards, evaluates shard 0 on the current domain
+(** [eval ~domains ~eval_shard monoid tuples] splits [tuples] into at
+    most [domains] contiguous shards — slices read in place, not
+    copies — evaluates shard 0 on the current domain
     and the rest on freshly spawned domains, then merges the shard
     timelines pairwise and applies [monoid.output].
 
@@ -53,7 +54,7 @@ val eval :
 
     [offsets], when given, fixes the shard boundaries explicitly instead
     of the default equal-count slicing: an array [[|0; o1; ...; n|]] of
-    nondecreasing indices into the materialized input, one shard per
+    nondecreasing indices into [tuples], one shard per
     adjacent pair (empty shards allowed) — how a time-partitioned
     relation keeps its evaluation shards aligned with its storage
     shards.  [domains] is ignored for slicing when [offsets] is present

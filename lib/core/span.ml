@@ -36,25 +36,35 @@ let unquantize ~origin ~horizon ~granule iv =
   in
   Interval.make start stop
 
+(* The preamble both entry points share: check the anchor, then hand [k]
+   the span-index bounds, the quantized input and [back], which maps an
+   index timeline to span-aligned chronons. *)
+let in_index_space ~origin ~horizon ~granule data k =
+  if Chronon.( > ) (granule : Granule.t).Granule.anchor origin then
+    Error "Span.eval: granule anchor after origin"
+  else
+    let index c = Chronon.of_int (Granule.index_of granule c) in
+    let back tl =
+      Timeline.of_list
+        (List.map
+           (fun (iv, r) -> (unquantize ~origin ~horizon ~granule iv, r))
+           (Timeline.to_list tl))
+    in
+    Ok
+      (k ~origin:(index origin)
+         ~horizon:(if Chronon.is_finite horizon then index horizon else horizon)
+         (quantize ~origin ~horizon ~granule data)
+         back)
+
 let eval_aux ?(origin = Chronon.origin) ?(horizon = Chronon.forever)
     ?(algorithm = Engine.Aggregation_tree) ?instrument ~granule monoid data =
-  if Chronon.( > ) (granule : Granule.t).Granule.anchor origin then
-    invalid_arg "Span.eval: granule anchor after origin";
-  let index_origin = Chronon.of_int (Granule.index_of granule origin) in
-  let index_horizon =
-    if Chronon.is_finite horizon then
-      Chronon.of_int (Granule.index_of granule horizon)
-    else Chronon.forever
-  in
-  let quantized = quantize ~origin ~horizon ~granule data in
-  let index_timeline =
-    Engine.eval ~origin:index_origin ~horizon:index_horizon ?instrument
-      algorithm monoid quantized
-  in
-  Timeline.of_list
-    (List.map
-       (fun (iv, r) -> (unquantize ~origin ~horizon ~granule iv, r))
-       (Timeline.to_list index_timeline))
+  match
+    in_index_space ~origin ~horizon ~granule data
+      (fun ~origin ~horizon quantized back ->
+        back (Engine.eval ~origin ~horizon ?instrument algorithm monoid quantized))
+  with
+  | Ok timeline -> timeline
+  | Error msg -> invalid_arg msg
 
 let eval ?origin ?horizon ?algorithm ~granule monoid data =
   eval_aux ?origin ?horizon ?algorithm ~granule monoid data
@@ -62,27 +72,16 @@ let eval ?origin ?horizon ?algorithm ~granule monoid data =
 let eval_robust ?(origin = Chronon.origin) ?(horizon = Chronon.forever)
     ?(algorithm = Engine.Aggregation_tree) ?on_error ?memory_budget
     ?deadline_ms ?profile ~granule monoid data =
-  if Chronon.( > ) (granule : Granule.t).Granule.anchor origin then
-    Error
-      (Engine.Eval_failed "Span.eval: granule anchor after origin")
-  else
-    let index_origin = Chronon.of_int (Granule.index_of granule origin) in
-    let index_horizon =
-      if Chronon.is_finite horizon then
-        Chronon.of_int (Granule.index_of granule horizon)
-      else Chronon.forever
-    in
-    let quantized = quantize ~origin ~horizon ~granule data in
-    Result.map
-      (fun (index_timeline, degradations) ->
-        ( Timeline.of_list
-            (List.map
-               (fun (iv, r) -> (unquantize ~origin ~horizon ~granule iv, r))
-               (Timeline.to_list index_timeline)),
-          degradations ))
-      (Engine.eval_robust ~origin:index_origin ~horizon:index_horizon
-         ?on_error ?memory_budget ?deadline_ms ?profile algorithm monoid
-         quantized)
+  match
+    in_index_space ~origin ~horizon ~granule data
+      (fun ~origin ~horizon quantized back ->
+        Result.map
+          (fun (tl, degradations) -> (back tl, degradations))
+          (Engine.eval_robust ~origin ~horizon ?on_error ?memory_budget
+             ?deadline_ms ?profile algorithm monoid quantized))
+  with
+  | Ok result -> result
+  | Error msg -> Error (Engine.Eval_failed msg)
 
 let eval_with_stats ?origin ?horizon ?algorithm ~granule monoid data =
   let inst =

@@ -95,7 +95,7 @@ type completion = {
   c_reply : Protocol.reply;
   c_kind : string;
   c_statement : string;
-  c_elapsed_us : int;
+  c_elapsed_us : int;  (* the "execute" span's duration *)
   c_trace : string;
   c_root : int;
   c_join : string option;
@@ -412,7 +412,6 @@ let payload_of_outcome = function
    shared state it touches is the job's own session (one outstanding
    request per connection serializes access) and the completion queue. *)
 let execute t job =
-  let t0 = Obs.Trace.now_us () in
   (* The queue wait ends the moment a worker picks the job up; the
      span was opened on the event loop at submit time. *)
   Obs.Trace.close_span job.j_queue;
@@ -482,21 +481,24 @@ let execute t job =
   in
   (* Run under an "execute" span parented to the request root, so every
      engine/storage/join span the statement records on this domain (and
-     on Parallel shard domains) nests under the request's trace. *)
-  let kind, reply, join =
-    Obs.Trace.with_span
+     on Parallel shard domains) nests under the request's trace.  Its
+     duration is the statement's latency: the histogram and the slowlog
+     report the span. *)
+  let result, elapsed_us =
+    Obs.Trace.timed
       ?parent:(if job.j_root = 0 then None else Some job.j_root)
       ~trace:job.j_trace
       ~attrs:[ ("conn", string_of_int job.j_conn) ]
       "execute" body
   in
+  let kind, reply, join = match result with Ok r -> r | Error e -> raise e in
   {
     c_conn = job.j_conn;
     c_session = job.j_session;
     c_reply = reply;
     c_kind = kind;
     c_statement = job.j_line;
-    c_elapsed_us = Obs.Trace.now_us () - t0;
+    c_elapsed_us = elapsed_us;
     c_trace = job.j_trace;
     c_root = job.j_root;
     c_join = join;
@@ -628,7 +630,7 @@ let observe_completion t (c : completion) =
         true
     | _ -> false
   in
-  let elapsed_ms = float_of_int c.c_elapsed_us /. 1000. in
+  let elapsed_ms = Obs.Trace.to_ms c.c_elapsed_us in
   let slow =
     match t.cfg.slowlog with
     | Some log -> elapsed_ms >= Obs.Slowlog.threshold_ms log
@@ -787,8 +789,6 @@ let rec dispatch t conn =
 
 (* ---- the event loop ---- *)
 
-let now_us () = Obs.Trace.now_us ()
-
 let handle_completions t =
   Mutex.lock t.comp_mutex;
   let batch = List.rev t.completions in
@@ -863,7 +863,7 @@ let read_conn t conn =
       dispatch t conn;
       maybe_close t conn
   | n ->
-      conn.c_last_us <- now_us ();
+      conn.c_last_us <- Obs.Trace.now_us ();
       Buffer.add_subbytes conn.c_inbuf buf 0 n;
       if Buffer.length conn.c_inbuf > max_line_bytes then begin
         send conn
@@ -888,7 +888,7 @@ let write_conn t conn =
   if len > 0 then
     match Unix.write_substring conn.c_wfd conn.c_out conn.c_out_off len with
     | n ->
-        conn.c_last_us <- now_us ();
+        conn.c_last_us <- Obs.Trace.now_us ();
         conn.c_out_off <- conn.c_out_off + n;
         if conn.c_out_off >= String.length conn.c_out then begin
           conn.c_out <- "";
@@ -930,8 +930,7 @@ let run ?(signals = false) t =
            Atomic.set t.dump_requested true;
            wake t))
   end;
-  let started_us = now_us () in
-  t.started_us <- started_us;
+  t.started_us <- Obs.Trace.now_us ();
   (* Touch every metric family once so a zero-traffic exposition still
      shows the full instrument panel. *)
   ignore (m_accepted t);
@@ -941,7 +940,7 @@ let run ?(signals = false) t =
   ignore (m_degraded t);
   (* The first scrape only records the delta baseline; intervals start
      accruing from server start, not from the first later tick. *)
-  Option.iter (fun s -> scrape_tick t s ~now:started_us) t.scraper;
+  Option.iter (fun s -> scrape_tick t s ~now:t.started_us) t.scraper;
   let workers =
     Array.init t.cfg.domains (fun _ -> Domain.spawn (worker_loop t))
   in
@@ -963,7 +962,8 @@ let run ?(signals = false) t =
   let begin_drain () =
     if not !draining then begin
       draining := true;
-      drain_deadline_us := now_us () + (t.cfg.drain_timeout_ms * 1000);
+      drain_deadline_us :=
+        Obs.Trace.now_us () + (t.cfg.drain_timeout_ms * 1000);
       stop_listening ();
       Admission.drain ~reason:"draining: server is shutting down" t.admission
     end
@@ -978,7 +978,7 @@ let run ?(signals = false) t =
     handle_completions t;
     Option.iter
       (fun s ->
-        let now = now_us () in
+        let now = Obs.Trace.now_us () in
         if Selfmon.Scrape.due s ~now_us:now then scrape_tick t s ~now)
       t.scraper;
     if Atomic.exchange t.dump_requested false then begin
@@ -990,7 +990,7 @@ let run ?(signals = false) t =
     if t.cfg.transport = Stdio && Hashtbl.length t.conns = 0 then
       begin_drain ();
     if !draining && Admission.idle t.admission && all_flushed () then ()
-    else if !draining && now_us () > !drain_deadline_us then begin
+    else if !draining && Obs.Trace.now_us () > !drain_deadline_us then begin
       (* Past the drain deadline: shed what is still queued and force
          the connections closed.  In-flight work finishes on its worker
          (bounded by the guard deadline when one is configured) but its
@@ -1017,7 +1017,7 @@ let run ?(signals = false) t =
       List.iter (fun c -> close_conn t c) (conn_list ())
     end
     else begin
-      let now = now_us () in
+      let now = Obs.Trace.now_us () in
       (* Reap idle connections (never one whose reply is in flight). *)
       let idle_cutoff = now - (t.cfg.idle_timeout_ms * 1000) in
       List.iter
@@ -1104,7 +1104,7 @@ let run ?(signals = false) t =
   | None -> ());
   (* One last scrape-and-evaluate so the report's SLO summary covers the
      traffic right up to the drain. *)
-  Option.iter (fun s -> scrape_tick t s ~now:(now_us ())) t.scraper;
+  Option.iter (fun s -> scrape_tick t s ~now:(Obs.Trace.now_us ())) t.scraper;
   let cval c = int_of_float (Obs.Metrics.counter_value c) in
   {
     accepted = cval (m_accepted t);
@@ -1113,7 +1113,7 @@ let run ?(signals = false) t =
     errors = cval (m_errors t);
     degraded = cval (m_degraded t);
     timed_out = cval (m_timed_out t);
-    elapsed_s = float_of_int (now_us () - started_us) /. 1e6;
+    elapsed_s = float_of_int (Obs.Trace.now_us () - t.started_us) /. 1e6;
     drained = not !forced;
     metrics = t.registry;
     per_kind =

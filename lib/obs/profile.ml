@@ -5,7 +5,9 @@
    the optimizer, one attempt record per evaluation (including the ones
    a fallback chain aborted — their instrument snapshots land here
    instead of being dropped), degradations, phase timings, I/O counters
-   and output size.  Aggregate memory numbers fold attempts as
+   and output size.  The profile reads no clock: every duration it
+   holds is the duration of a span, handed over by [Trace.timed] at the
+   call site, in microseconds.  Aggregate memory numbers fold attempts as
    *sequential* retries: allocations sum, peaks take the max — unlike
    Instrument.absorb, whose sum-of-peaks models concurrent shards. *)
 
@@ -38,15 +40,14 @@ type t = {
   mutable tuples : int option;
   mutable attempts_rev : attempt list;
   mutable degradations_rev : string list;
-  mutable phases_rev : (string * float) list;  (* label, total ms *)
+  mutable phases : (string * int) list;  (* label, total µs; first seen first *)
   mutable allocated_nodes : int;
   mutable peak_live : int;
   mutable node_bytes : int;
   mutable peak_bytes : int;
   mutable segments : int option;
   mutable io : io option;
-  mutable total_ms : float option;
-  started_us : int;  (* [create] time on the monotonized trace clock *)
+  mutable total_us : int option;  (* sum of the query's top-level spans *)
 }
 
 let create () =
@@ -62,15 +63,14 @@ let create () =
     tuples = None;
     attempts_rev = [];
     degradations_rev = [];
-    phases_rev = [];
+    phases = [];
     allocated_nodes = 0;
     peak_live = 0;
     node_bytes = 0;
     peak_bytes = 0;
     segments = None;
     io = None;
-    total_ms = None;
-    started_us = Trace.now_us ();
+    total_us = None;
   }
 
 let set_query t q = t.query <- Some q
@@ -89,14 +89,13 @@ let set_join t ~strategy ~rationale ~stats_source =
 let set_k_estimate t k = t.k_estimate <- Some k
 let set_tuples t n = t.tuples <- Some n
 let set_segments t n = t.segments <- Some n
-let set_total_ms t ms = t.total_ms <- Some ms
-let elapsed_ms t = float_of_int (Trace.now_us () - t.started_us) /. 1000.
+let add_total t us = t.total_us <- Some (Option.value t.total_us ~default:0 + us)
 
 let set_io t ~pages_read ~pages_written ~retries ~corrupt_pages =
   t.io <- Some { pages_read; pages_written; io_retries = retries; corrupt_pages }
 
-let add_attempt t ~algorithm ~outcome ?(allocated_nodes = 0) ?(peak_live = 0)
-    ?(node_bytes = 0) ?(peak_bytes = 0) ~elapsed_ms () =
+let add_attempt t ~algorithm ~outcome ~allocated_nodes ~peak_live ~node_bytes
+    ~peak_bytes ~elapsed_ms =
   t.attempts_rev <-
     { algorithm; outcome; allocated_nodes; peak_live; node_bytes; peak_bytes;
       elapsed_ms }
@@ -110,23 +109,16 @@ let note_degradation t d = t.degradations_rev <- d :: t.degradations_rev
 
 (* Phases accumulate by label (a fallback chain materializes once but
    may evaluate several times); first-seen order is preserved. *)
-let add_phase t label ms =
+let add_phase t label us =
   let rec bump = function
-    | [] -> [ (label, ms) ]
-    | (l, total) :: rest when l = label -> (l, total +. ms) :: rest
+    | [] -> [ (label, us) ]
+    | (l, total) :: rest when l = label -> (l, total + us) :: rest
     | entry :: rest -> entry :: bump rest
   in
-  t.phases_rev <- bump t.phases_rev
-
-let time_phase t label f =
-  let t0 = Unix.gettimeofday () in
-  Fun.protect
-    ~finally:(fun () -> add_phase t label ((Unix.gettimeofday () -. t0) *. 1000.))
-    f
+  t.phases <- bump t.phases
 
 let attempts t = List.rev t.attempts_rev
 let degradations t = List.rev t.degradations_rev
-let phases t = List.rev t.phases_rev
 let allocated_nodes t = t.allocated_nodes
 let peak_live t = t.peak_live
 let peak_bytes t = t.peak_bytes
@@ -159,11 +151,19 @@ let to_string t =
   | ds ->
       line "degradations:";
       List.iter (fun d -> line "  - %s" d) ds);
-  (match phases t with
+  (* The total's time that no phase span claims: phases nest inside
+     the top-level spans, so the row is never negative. *)
+  let attributed = List.fold_left (fun acc (_, us) -> acc + us) 0 t.phases in
+  let unattributed =
+    Option.map
+      (fun total -> ("unattributed", max 0 (total - attributed)))
+      t.total_us
+  in
+  (match t.phases @ Option.to_list unattributed with
   | [] -> ()
   | ps ->
       line "phases:";
-      List.iter (fun (l, ms) -> line "  %-14s %9.3f ms" l ms) ps);
+      List.iter (fun (l, us) -> line "  %-14s %9.3f ms" l (Trace.to_ms us)) ps);
   line "memory: allocated_nodes=%d peak_live=%d node_bytes=%d peak_bytes=%d"
     t.allocated_nodes t.peak_live t.node_bytes t.peak_bytes;
   Option.iter
@@ -172,5 +172,5 @@ let to_string t =
         io.pages_read io.pages_written io.io_retries io.corrupt_pages)
     t.io;
   Option.iter (fun n -> line "output: %d segment(s)" n) t.segments;
-  Option.iter (fun ms -> line "total: %.3f ms" ms) t.total_ms;
+  Option.iter (fun us -> line "total: %.3f ms" (Trace.to_ms us)) t.total_us;
   Buffer.contents buf

@@ -3,7 +3,9 @@
     A mutable builder the planner and engine fill in while a query
     runs: plan choice and rationale, every evaluation attempt (aborted
     fallback attempts included, so peak-memory reporting covers them),
-    degradations, per-phase wall time, I/O counters and output size.
+    degradations, per-phase time, I/O counters and output size.  It
+    reads no clock: every duration is the duration of a span, measured
+    with {!Trace.timed} by the code that runs the phase.
 
     Attempts fold into the aggregate memory numbers as sequential
     retries — allocations sum, peaks max.  On a clean single-attempt
@@ -49,12 +51,10 @@ val set_join : t -> strategy:string -> rationale:string -> stats_source:string -
 val set_k_estimate : t -> int -> unit
 val set_tuples : t -> int -> unit
 val set_segments : t -> int -> unit
-val set_total_ms : t -> float -> unit
 
-val elapsed_ms : t -> float
-(** Milliseconds since {!create}, on {!Trace.now_us}'s clock — how a
-    query's total (parse through evaluation) is measured when the
-    profile is created before the statement is parsed. *)
+val add_total : t -> int -> unit
+(** [add_total t us] adds the duration of one of the query's top-level
+    spans (parse+analyze, then the plan's execution) to its total. *)
 
 val set_io :
   t -> pages_read:int -> pages_written:int -> retries:int -> corrupt_pages:int -> unit
@@ -63,25 +63,21 @@ val add_attempt :
   t ->
   algorithm:string ->
   outcome:string ->
-  ?allocated_nodes:int ->
-  ?peak_live:int ->
-  ?node_bytes:int ->
-  ?peak_bytes:int ->
+  allocated_nodes:int ->
+  peak_live:int ->
+  node_bytes:int ->
+  peak_bytes:int ->
   elapsed_ms:float ->
-  unit ->
   unit
 
 val note_degradation : t -> string -> unit
 
-val add_phase : t -> string -> float -> unit
-(** [add_phase t label ms] — repeated labels accumulate. *)
-
-val time_phase : t -> string -> (unit -> 'a) -> 'a
-(** Run a thunk and record its wall time under [label] (even on raise). *)
+val add_phase : t -> string -> int -> unit
+(** [add_phase t label us] adds a phase span's duration in
+    microseconds — repeated labels accumulate. *)
 
 val attempts : t -> attempt list
 val degradations : t -> string list
-val phases : t -> (string * float) list
 val allocated_nodes : t -> int
 val peak_live : t -> int
 val peak_bytes : t -> int
@@ -89,4 +85,6 @@ val segments : t -> int option
 
 val to_string : t -> string
 (** Human-readable report.  The memory line is machine-parseable:
-    [memory: allocated_nodes=%d peak_live=%d node_bytes=%d peak_bytes=%d]. *)
+    [memory: allocated_nodes=%d peak_live=%d node_bytes=%d peak_bytes=%d].
+    Once a total is set, the phases end with an [unattributed] row:
+    the total minus the phases, never negative. *)

@@ -16,7 +16,6 @@ type pinned = {
   p_reason : string;  (* "slow" | "shed" | "degraded" | "error" *)
   p_spans : Trace.span list;
   p_elapsed_us : int;
-  p_pinned_us : int;
 }
 
 let default_max_pinned = 64
@@ -65,7 +64,6 @@ let pin ~trace ~reason =
           p_reason = reason;
           p_spans = spans;
           p_elapsed_us = elapsed_of spans;
-          p_pinned_us = Trace.now_us ();
         }
       in
       Atomic.incr pins_total;

@@ -12,7 +12,6 @@ type pinned = {
   p_reason : string;  (** "slow", "shed", "degraded" or "error" *)
   p_spans : Trace.span list;
   p_elapsed_us : int;  (** span of the trace: max stop − min start *)
-  p_pinned_us : int;  (** when the pin happened, {!Trace.now_us} clock *)
 }
 
 val configure : ?max_pinned:int -> unit -> unit

@@ -26,8 +26,10 @@
    use [open_span]/[close_span], which park the open span in a shared
    table instead of a domain-local stack.
 
-   Timestamps come from a single monotonized wall clock shared by all
-   domains, so shard timelines line up in the exported Chrome trace. *)
+   Timestamps come from CLOCK_MONOTONIC, shared by all domains, so
+   shard timelines line up in the exported Chrome trace and no
+   wall-clock step moves a span.  [timed] hands back the duration of
+   the span it records: the one way to measure work. *)
 
 type span = {
   id : int;
@@ -68,20 +70,12 @@ let with_lock m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-(* Wall clock in microseconds since module init, monotonized across
-   domains with a CAS max so exported spans never run backwards. *)
-let t0 = Unix.gettimeofday ()
-let last_us = Atomic.make 0
-
-let now_us () =
-  let raw = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
-  let rec clamp () =
-    let prev = Atomic.get last_us in
-    if raw <= prev then prev
-    else if Atomic.compare_and_set last_us prev raw then raw
-    else clamp ()
-  in
-  clamp ()
+(* CLOCK_MONOTONIC in µs since module init: one kernel clock for all
+   domains, which never steps. *)
+let clock_us () = Int64.to_int (Monotonic_clock.now ()) / 1000
+let epoch_us = clock_us ()
+let now_us () = clock_us () - epoch_us
+let to_ms us = float_of_int us /. 1000.
 
 let dls_key =
   Domain.DLS.new_key (fun () ->
@@ -126,11 +120,14 @@ let set_ring_capacity n =
    same domain. *)
 let open_tbl : (int, span) Hashtbl.t = Hashtbl.create 64
 
-let arm () =
+let clear () =
   with_lock registry_mutex (fun () ->
       registry := [];
       Hashtbl.reset open_tbl);
-  Atomic.incr epoch;
+  Atomic.incr epoch
+
+let arm () =
+  clear ();
   Atomic.set armed_flag true
 
 let disarm () = Atomic.set armed_flag false
@@ -163,7 +160,7 @@ let record b span =
     else b.ring_filled <- b.ring_filled + 1
   end
 
-let make_span ~stack ?parent ?trace ~attrs label =
+let make_span ~stack ?parent ?trace ~attrs ?(start_us = now_us ()) label =
   let parent =
     match parent with
     | Some _ as p -> p
@@ -180,26 +177,44 @@ let make_span ~stack ?parent ?trace ~attrs label =
     label;
     trace;
     domain = (Domain.self () :> int);
-    start_us = now_us ();
+    start_us;
     stop_us = -1;
     attrs;
   }
 
+(* Open a span on this domain's stack / close it and record it. *)
+let push ?parent ?trace ~attrs ~start_us label =
+  let b = buffer () in
+  let span = make_span ~stack:b.stack ?parent ?trace ~attrs ~start_us label in
+  b.stack <- span :: b.stack;
+  (b, span)
+
+let pop ~stop_us (b, span) =
+  span.stop_us <- stop_us;
+  (match b.stack with
+  | s :: rest when s == span -> b.stack <- rest
+  | stack -> b.stack <- List.filter (fun s -> s != span) stack);
+  record b span
+
+(* No clock read when nothing records. *)
 let with_span ?(attrs = []) ?parent ?trace label f =
   if not (recording ()) then f ()
-  else begin
-    let b = buffer () in
-    let span = make_span ~stack:b.stack ?parent ?trace ~attrs label in
-    b.stack <- span :: b.stack;
-    Fun.protect
-      ~finally:(fun () ->
-        span.stop_us <- now_us ();
-        (match b.stack with
-        | s :: rest when s == span -> b.stack <- rest
-        | stack -> b.stack <- List.filter (fun s -> s != span) stack);
-        record b span)
-      f
-  end
+  else
+    let opened = push ?parent ?trace ~attrs ~start_us:(now_us ()) label in
+    Fun.protect ~finally:(fun () -> pop ~stop_us:(now_us ()) opened) f
+
+(* Two clock readings whatever records: they give the duration and
+   stamp the span, so the two agree. *)
+let timed ?(attrs = []) ?parent ?trace label f =
+  let start_us = now_us () in
+  let opened =
+    if recording () then Some (push ?parent ?trace ~attrs ~start_us label)
+    else None
+  in
+  let result = match f () with v -> Ok v | exception e -> Error e in
+  let stop_us = now_us () in
+  Option.iter (pop ~stop_us) opened;
+  (result, stop_us - start_us)
 
 let open_span ?(attrs = []) ?parent ?trace label =
   if not (recording ()) then 0
@@ -256,11 +271,6 @@ let ring_stats () =
     (fun (occ, dropped) b -> (occ + b.ring_filled, dropped + b.ring_dropped))
     (0, 0) buffers
 
-let clear () =
-  with_lock registry_mutex (fun () ->
-      registry := [];
-      Hashtbl.reset open_tbl);
-  Atomic.incr epoch
 
 (* ---- Chrome trace_event export ---- *)
 

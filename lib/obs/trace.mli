@@ -28,12 +28,13 @@ type span = {
 }
 
 val now_us : unit -> int
-(** The shared clock spans are stamped with: microseconds since the
-    process-local epoch, monotonized across domains with a CAS max so
-    successive readings never run backwards even if the wall clock
-    steps.  Exposed for callers that need durations immune to clock
-    adjustments (query and profile timings, the network server's
-    latencies and timeouts). *)
+(** The one clock: CLOCK_MONOTONIC in microseconds since a
+    process-local epoch, shared by all domains and immune to wall-clock
+    steps.  Spans, {!timed}, guard deadlines, the server's timeouts and
+    the self-relations' chronons all read it. *)
+
+val to_ms : int -> float
+(** Microseconds to milliseconds. *)
 
 val arm : unit -> unit
 (** Start recording.  Spans from any previous arming are discarded. *)
@@ -69,6 +70,19 @@ val with_span :
     trace id to that span's; pass [?parent]/[?trace] explicitly when
     crossing domains (a spawned domain has no open spans of its own).
     The span closes even if [f] raises. *)
+
+val timed :
+  ?attrs:(string * string) list ->
+  ?parent:int ->
+  ?trace:string ->
+  string ->
+  (unit -> 'a) ->
+  ('a, exn) result * int
+(** [timed label f] runs [f] in a span like {!with_span} and hands back
+    its outcome with the span's duration in µs — also when [f] raises
+    ([Error], for the caller to re-raise).  The clock is read even when
+    nothing records; a recorded span's [stop_us - start_us] equals the
+    returned duration. *)
 
 val open_span :
   ?attrs:(string * string) list ->

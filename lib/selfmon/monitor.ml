@@ -36,8 +36,5 @@ let source catalog =
         | Ok rel -> Ok (rows_of_relation rel));
   }
 
-let evaluate ?now_us scrape objectives =
-  let now =
-    match now_us with Some n -> n | None -> Obs.Trace.now_us ()
-  in
-  Obs.Slo.evaluate ~now_us:now (source (Scrape.catalog scrape)) objectives
+let evaluate ~now_us scrape objectives =
+  Obs.Slo.evaluate ~now_us (source (Scrape.catalog scrape)) objectives

@@ -15,9 +15,9 @@ val source : Tsql.Catalog.t -> Obs.Slo.source
     queries should not steer the optimizer's statistics). *)
 
 val evaluate :
-  ?now_us:int ->
+  now_us:int ->
   Scrape.t ->
   Obs.Slo.objective list ->
   (Obs.Slo.report, string) result
 (** Evaluate objectives against a scraper's current relations at
-    [now_us] (default {!Obs.Trace.now_us}). *)
+    [now_us] (a {!Obs.Trace.now_us} reading). *)

@@ -195,8 +195,7 @@ let store_prev t key ~value ~count ~buckets =
 
 let fnum v = Value.Float v
 
-let tick ?now_us t =
-  let now = match now_us with Some n -> n | None -> Obs.Trace.now_us () in
+let tick ~now_us:now t =
   let samples = Obs.Metrics.samples t.registry in
   (match t.last_us with
   | Some last when now > last ->
@@ -407,10 +406,9 @@ let enforce_bounds t ~now_us =
     t.cached <- None
   end
 
-let scrape ?now_us t =
-  let now = match now_us with Some n -> n | None -> Obs.Trace.now_us () in
-  tick ~now_us:now t;
-  enforce_bounds t ~now_us:now
+let scrape ~now_us t =
+  tick ~now_us t;
+  enforce_bounds t ~now_us
 
 let materialize t =
   match t.cached with

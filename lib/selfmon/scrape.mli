@@ -56,12 +56,12 @@ val create : ?config:config -> Obs.Metrics.t -> t
 
 val config : t -> config
 
-val scrape : ?now_us:int -> t -> unit
-(** One full tick at [now_us] (default {!Obs.Trace.now_us}): sample the
+val scrape : now_us:int -> t -> unit
+(** One full tick at [now_us] (a {!Obs.Trace.now_us} reading): sample the
     registry, append interval tuples (the first tick only records the
     delta baseline), then enforce retention and downsampling. *)
 
-val tick : ?now_us:int -> t -> unit
+val tick : now_us:int -> t -> unit
 (** Just the sampling step of {!scrape} (for tests that want history
     without compaction). *)
 

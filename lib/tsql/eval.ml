@@ -284,59 +284,47 @@ let joined_tuples ctx (plan : Semant.plan) (j : Semant.join_spec) =
         (Some guard, Some i)
       end
     in
-    Obs.Trace.with_span (span_label strategy) (fun () ->
-        Join.Engine.run ?guard ?instrument strategy j.Semant.predicate
-          ~left:livs ~right:rivs (fun l r ->
-            pairs := (l, r) :: !pairs;
-            incr npairs))
+    let result, us =
+      Obs.Trace.timed (span_label strategy) (fun () ->
+          Join.Engine.run ?guard ?instrument strategy j.Semant.predicate
+            ~left:livs ~right:rivs (fun l r ->
+              pairs := (l, r) :: !pairs;
+              incr npairs))
+    in
+    (* The profile's join phase is the sum of the join:* spans. *)
+    Option.iter (fun p -> Obs.Profile.add_phase p "join" us) ctx.profile;
+    result
   in
-  let deadline_error deadline_ms elapsed_ms =
-    Eval_error (Tempagg.Engine.Deadline_exhausted { deadline_ms; elapsed_ms })
-  in
-  let run_join () =
-    try
-      attempt j.Semant.strategy;
-      j.Semant.strategy
-    with
-    | Tempagg.Guard.Deadline_exceeded { deadline_ms; elapsed_ms } ->
-        raise (deadline_error deadline_ms elapsed_ms)
-    | Tempagg.Guard.Budget_exceeded { budget_bytes; used_bytes } as e -> (
-        match (plan.Semant.on_error, j.Semant.strategy) with
-        | (Tempagg.Engine.Fallback | Tempagg.Engine.Skip), Join.Engine.Sweep
-          -> (
-            let d =
-              {
-                Tempagg.Engine.stage = span_label Join.Engine.Sweep;
-                reason =
-                  Option.value (Tempagg.Guard.describe e)
-                    ~default:"memory budget exceeded";
-                action = "retried as nested-loop-join (no live state)";
-              }
-            in
-            ctx.events <- ctx.events @ [ d ];
-            Option.iter
-              (fun p ->
-                Obs.Profile.note_degradation p
-                  (Tempagg.Engine.degradation_to_string d))
-              ctx.profile;
-            Join.Telemetry.record_fallback ();
-            (* Same guard: the deadline keeps counting across the retry;
-               the nested loop allocates nothing, so the budget cannot
-               trip again. *)
-            try
-              attempt Join.Engine.Nested_loop;
-              Join.Engine.Nested_loop
-            with Tempagg.Guard.Deadline_exceeded { deadline_ms; elapsed_ms } ->
-              raise (deadline_error deadline_ms elapsed_ms))
-        | _ ->
-            raise
-              (Eval_error
-                 (Tempagg.Engine.Budget_exhausted { budget_bytes; used_bytes })))
-  in
+  let fail e = raise (Eval_error (Tempagg.Engine.error_of_exn e)) in
   let used =
-    match ctx.profile with
-    | Some p -> Obs.Profile.time_phase p "join" run_join
-    | None -> run_join ()
+    match (attempt j.Semant.strategy, plan.Semant.on_error, j.Semant.strategy) with
+    | Ok (), _, strategy -> strategy
+    | ( Error (Tempagg.Guard.Budget_exceeded _ as e),
+        (Tempagg.Engine.Fallback | Tempagg.Engine.Skip),
+        Join.Engine.Sweep ) -> (
+        let d =
+          {
+            Tempagg.Engine.stage = span_label Join.Engine.Sweep;
+            reason =
+              Option.value (Tempagg.Guard.describe e)
+                ~default:"memory budget exceeded";
+            action = "retried as nested-loop-join (no live state)";
+          }
+        in
+        ctx.events <- ctx.events @ [ d ];
+        Option.iter
+          (fun p ->
+            Obs.Profile.note_degradation p
+              (Tempagg.Engine.degradation_to_string d))
+          ctx.profile;
+        Join.Telemetry.record_fallback ();
+        (* Same guard: the deadline keeps counting across the retry; the
+           nested loop allocates nothing, so the budget cannot trip
+           again. *)
+        match attempt Join.Engine.Nested_loop with
+        | Ok () -> Join.Engine.Nested_loop
+        | Error e -> fail e)
+    | Error e, _, _ -> fail e
   in
   Join.Telemetry.record ~strategy:used ~pairs:!npairs;
   List.rev_map
@@ -576,36 +564,52 @@ let describe_plan profile (plan : Semant.plan) =
   in
   Option.iter (Obs.Profile.set_k_estimate profile) (k_of plan.Semant.algorithm)
 
+(* One "execute-plan" span: its duration is what the statistics store
+   records and the rest of the profile's total. *)
 let execute ?memory_budget ?deadline_ms ?profile catalog plan =
-  let t0 = Obs.Trace.now_us () in
+  Option.iter (fun p -> describe_plan p plan) profile;
+  let result, us =
+    Obs.Trace.timed "execute-plan" (fun () ->
+        evaluate ?memory_budget ?deadline_ms ?profile plan)
+  in
+  Option.iter (fun p -> Obs.Profile.add_total p us) profile;
+  let* outcome, intervals = match result with Ok r -> r | Error e -> raise e in
   Option.iter
-    (fun p ->
-      Obs.Profile.add_phase p "parse+analyze" (Obs.Profile.elapsed_ms p);
-      describe_plan p plan)
+    (fun p -> Obs.Profile.set_segments p (Trel.cardinality outcome.result))
     profile;
-  let* outcome, intervals = evaluate ?memory_budget ?deadline_ms ?profile plan in
-  let elapsed_ms = float_of_int (Obs.Trace.now_us () - t0) /. 1000. in
-  Option.iter
-    (fun p ->
-      Obs.Profile.set_segments p (Trel.cardinality outcome.result);
-      Obs.Profile.set_total_ms p (Obs.Profile.elapsed_ms p))
-    profile;
-  record_outcome ?profile ~intervals catalog plan ~elapsed_ms
+  record_outcome ?profile ~intervals catalog plan
+    ~elapsed_ms:(Obs.Trace.to_ms us)
     ~degradations:(List.length outcome.degradations)
     outcome.result;
   Ok outcome
 
-let plan ?(adaptive = true) ?algorithm ?domains ?on_error ?join_strategy
-    ?profile catalog ast =
-  let* plan = Semant.analyze ~adaptive catalog ast in
-  Option.iter (fun p -> Obs.Profile.set_query p (Ast.to_string ast)) profile;
-  Ok (apply_overrides ?algorithm ?domains ?on_error ?join_strategy plan)
+(* Parsing (for [prepare]) and analysis run in one "parse+analyze" span:
+   the profile's first phase and the first part of its total. *)
+let analyze ?(adaptive = true) ?algorithm ?domains ?on_error ?join_strategy
+    ?profile catalog parse =
+  let result, us =
+    Obs.Trace.timed "parse+analyze" (fun () ->
+        let* ast = parse () in
+        let* plan = Semant.analyze ~adaptive catalog ast in
+        Option.iter (fun p -> Obs.Profile.set_query p (Ast.to_string ast)) profile;
+        Ok (apply_overrides ?algorithm ?domains ?on_error ?join_strategy plan))
+  in
+  Option.iter
+    (fun p ->
+      Obs.Profile.add_phase p "parse+analyze" us;
+      Obs.Profile.add_total p us)
+    profile;
+  match result with Ok r -> r | Error e -> raise e
+
+let plan ?adaptive ?algorithm ?domains ?on_error ?join_strategy ?profile
+    catalog ast =
+  analyze ?adaptive ?algorithm ?domains ?on_error ?join_strategy ?profile
+    catalog (fun () -> Ok ast)
 
 let prepare ?adaptive ?algorithm ?domains ?on_error ?join_strategy ?profile
     catalog text =
-  let* ast = Parser.parse text in
-  plan ?adaptive ?algorithm ?domains ?on_error ?join_strategy ?profile catalog
-    ast
+  analyze ?adaptive ?algorithm ?domains ?on_error ?join_strategy ?profile
+    catalog (fun () -> Parser.parse text)
 
 let query ?adaptive ?algorithm ?domains ?join_strategy catalog text =
   let* plan = prepare ?adaptive ?algorithm ?domains ?join_strategy catalog text in

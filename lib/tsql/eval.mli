@@ -38,10 +38,11 @@ val execute :
     {!Tempagg.Engine.eval} costs.
 
     [?profile] threads an {!Obs.Profile} through every evaluation (the
-    implementation behind [EXPLAIN ANALYZE] and the CLI's [--profile]);
-    create it before parsing, since its "parse+analyze" phase and total
-    are measured from its creation.  Profiling forces instrumentation,
-    so the run costs what {!Tempagg.Engine.eval_with_stats} costs.
+    implementation behind [EXPLAIN ANALYZE] and the CLI's [--profile]).
+    The run is one [execute-plan] span: its duration is the latency the
+    statistics store records and the rest of the profile's total.
+    Profiling forces instrumentation, so the run costs what
+    {!Tempagg.Engine.eval_with_stats} costs.
     [Error _] carries the rendered structured error when recovery is
     impossible or disallowed. *)
 
@@ -87,7 +88,8 @@ val plan :
     ([--domains]); [?on_error] replaces the query's [ON ERROR] clause or
     the optimizer's recommendation ([--on-error]); [?join_strategy]
     pins the interval-join strategy ([--join-strategy]; ignored for
-    join-free queries).  [?profile] receives the query text. *)
+    join-free queries).  [?profile] receives the query text, and the
+    [parse+analyze] span's duration as a phase and part of its total. *)
 
 val prepare :
   ?adaptive:bool ->
@@ -99,7 +101,7 @@ val prepare :
   Catalog.t ->
   string ->
   (Semant.plan, string) result
-(** Parse, then {!plan}. *)
+(** Parse, then {!plan}, both inside the one [parse+analyze] span. *)
 
 val query :
   ?adaptive:bool ->

@@ -196,7 +196,10 @@ let test_trace_parallel_span_tree () =
         (s.parent = Some outer.id))
     shards;
   (* Per-domain stack discipline: two spans recorded by one domain are
-     either disjoint in time or properly nested, never interleaved. *)
+     either disjoint in time or properly nested, never interleaved.
+     Spans are compared in (start, id) order, the order [spans] returns:
+     a child opened in the same microsecond as its parent has the same
+     start and the larger id. *)
   let by_domain = Hashtbl.create 8 in
   List.iter
     (fun (s : Obs.Trace.span) ->
@@ -209,7 +212,7 @@ let test_trace_parallel_span_tree () =
         (fun (a : Obs.Trace.span) ->
           List.iter
             (fun (b : Obs.Trace.span) ->
-              if a.id <> b.id && a.start_us <= b.start_us then
+              if compare (a.start_us, a.id) (b.start_us, b.id) < 0 then
                 Alcotest.(check bool)
                   (Printf.sprintf "spans %d and %d nest or are disjoint" a.id
                      b.id)
@@ -856,9 +859,9 @@ let test_profile_report_fields () =
   Obs.Profile.set_segments p 42;
   Obs.Profile.set_io p ~pages_read:3 ~pages_written:0 ~retries:1
     ~corrupt_pages:0;
-  Obs.Profile.add_phase p "evaluate" 1.5;
-  Obs.Profile.add_phase p "evaluate" 0.5;
-  Obs.Profile.set_total_ms p 2.5;
+  Obs.Profile.add_phase p "evaluate" 1500;
+  Obs.Profile.add_phase p "evaluate" 500;
+  Obs.Profile.add_total p 2500;
   let text = Obs.Profile.to_string p in
   List.iter
     (fun needle -> check_contains "report" text needle)
@@ -874,6 +877,106 @@ let test_profile_report_fields () =
       "io: pages_read=3";
       "total: 2.500 ms";
     ]
+
+(* The rows of a profile report that end in "ms" with nothing after
+   them (phases and the total, not attempts), in microseconds: the report
+   prints each at %.3f ms, exact to the microsecond. *)
+let report_rows_us text =
+  List.filter_map
+    (fun line ->
+      match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+      | [ label; ms; "ms" ] ->
+          Option.map
+            (fun v -> (label, Float.to_int (Float.round (v *. 1000.))))
+            (float_of_string_opt ms)
+      | _ -> None)
+    (String.split_on_char '\n' text)
+
+(* Every duration in a profile is the duration of one span: with the
+   ring on, each attempt of a fallback chain (aborted ones included)
+   and the materialize/evaluate phases equal stop - start of the
+   matching recorded span, to the microsecond. *)
+let test_profile_durations_are_spans () =
+  Obs.Trace.set_ring_capacity 2048;
+  let profile = Obs.Profile.create () in
+  (match
+     Engine.eval_robust ~profile (Engine.Korder_tree { k = 1 }) Monoid.count
+       (count_data (random_data ()))
+   with
+  | Ok (_, degradations) ->
+      Alcotest.(check bool) "took a fallback chain" true (degradations <> [])
+  | Error e -> Alcotest.fail (Engine.error_to_string e));
+  let recorded label =
+    List.filter
+      (fun (s : Obs.Trace.span) -> s.label = label)
+      (Obs.Trace.recorded ())
+  in
+  let duration (s : Obs.Trace.span) = s.stop_us - s.start_us in
+  let attempts = Obs.Profile.attempts profile in
+  let attempt_spans = recorded "attempt" in
+  Alcotest.(check int) "one span per attempt" (List.length attempts)
+    (List.length attempt_spans);
+  List.iter2
+    (fun (a : Obs.Profile.attempt) (s : Obs.Trace.span) ->
+      Alcotest.(check (option string)) "same algorithm" (Some a.algorithm)
+        (List.assoc_opt "algorithm" s.attrs);
+      Alcotest.(check int)
+        (a.algorithm ^ " attempt = its span")
+        (duration s)
+        (Float.to_int (Float.round (a.elapsed_ms *. 1000.))))
+    attempts attempt_spans;
+  let phases = report_rows_us (Obs.Profile.to_string profile) in
+  List.iter
+    (fun (phase, label) ->
+      match recorded label with
+      | [ s ] ->
+          Alcotest.(check (option int))
+            (phase ^ " phase = " ^ label ^ " span")
+            (Some (duration s)) (List.assoc_opt phase phases)
+      | spans -> Alcotest.failf "%d %s spans" (List.length spans) label)
+    [ ("materialize", "materialize"); ("evaluate", "eval-robust") ]
+
+(* EXPLAIN ANALYZE and query --profile end their phases with an
+   unattributed row: the total minus the phases, never negative, so
+   phases + unattributed = total exactly. *)
+let check_unattributed what report =
+  let rows = report_rows_us report in
+  match (List.assoc_opt "total:" rows, List.assoc_opt "unattributed" rows) with
+  | Some total, Some unattributed ->
+      let phases =
+        List.filter (fun (l, _) -> l <> "total:" && l <> "unattributed") rows
+      in
+      List.iter
+        (fun phase ->
+          Alcotest.(check bool)
+            (what ^ ": " ^ phase ^ " row")
+            true (List.mem_assoc phase phases))
+        [ "parse+analyze"; "evaluate" ];
+      Alcotest.(check bool) (what ^ ": never negative") true (unattributed >= 0);
+      Alcotest.(check int)
+        (what ^ ": phases + unattributed = total")
+        total
+        (List.fold_left (fun acc (_, us) -> acc + us) unattributed phases)
+  | _ -> Alcotest.failf "%s: no total or unattributed row in\n%s" what report
+
+let test_profile_unattributed_row () =
+  let s = Tsql.Session.create (Tsql.Catalog.with_builtins ()) in
+  List.iter
+    (fun q ->
+      match Tsql.Session.exec s ("EXPLAIN ANALYZE " ^ q) with
+      | Ok (Tsql.Session.Ack report) -> check_unattributed q report
+      | Ok (Tsql.Session.Rows _) -> Alcotest.fail "expected an Ack"
+      | Error msg -> Alcotest.fail msg)
+    [
+      "SELECT COUNT(Name) FROM Employed";
+      "SELECT COUNT(*), MAX(Salary) FROM Employed GROUP BY Name";
+      "SELECT COUNT(*) FROM Employed USING ktree(0) ON ERROR FALLBACK";
+    ];
+  let code, out =
+    Cli_harness.run [ "query"; "--profile"; "SELECT COUNT(Name) FROM Employed" ]
+  in
+  Alcotest.(check int) "query --profile exit code" 0 code;
+  check_unattributed "query --profile" out
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN ANALYZE and the serve loop                                  *)
@@ -1059,6 +1162,10 @@ let () =
           Alcotest.test_case "peak bytes exact" `Quick
             test_profile_peak_bytes_exact;
           Alcotest.test_case "report fields" `Quick test_profile_report_fields;
+          Alcotest.test_case "durations are span durations" `Quick
+            test_profile_durations_are_spans;
+          Alcotest.test_case "unattributed row" `Quick
+            test_profile_unattributed_row;
         ] );
       ( "tsql",
         [
